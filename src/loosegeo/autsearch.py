@@ -102,16 +102,17 @@ def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
 
     X is the union of its pieces, so M stabilizes X iff the image of every
     piece under M and under M^{-1} is contained in X over all extensions.
-    A bijection on rational points is checked first as a fast filter.
+    Mapping the rational points into X is checked first as a fast filter;
+    a point sent to zero shows that M is singular.
     """
     F = scheme.F
+    for p in scheme.points:
+        img = gfq.mat_vec(F, M, p)
+        if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
+            return False
     Minv = gfq.mat_inv(F, M)
     if Minv is None:
         return False
-    for p in scheme.points:
-        img = gfq.normalize_point(F, gfq.mat_vec(F, M, p))
-        if img not in scheme.point_index:
-            return False
     for mat in (M, Minv):
         for piece in scheme.pieces:
             if not _piece_contained(scheme, mat, piece):
@@ -167,68 +168,112 @@ def _frame_search(scheme: SchemeModel) -> list:
     profiles of spans: profiles are collineation invariants, so the span of
     any subset of chosen images must match the profile of the corresponding
     coordinate span.
+
+    The search keeps one candidate list per level: the points of PG(m-1, q)
+    whose profile is that of basis point i, computed once.  Choosing the
+    image p of basis point i filters the list of every deeper level k to the
+    points x with profile(p, x) equal to the profile of the coordinate line
+    (i, k), so each pair profile is computed once per prefix and a branch
+    with an empty list is cut at once (forward checking).
+
+    The unit point fixes the scales of the chosen images, and these are
+    chosen one column at a time.  Once the scales of columns 0..c are fixed,
+    the image of every rational point whose last nonzero coordinate is c is
+    fixed too; a stabilizer maps X(F_q) onto itself, so a scale sending such
+    a point outside X is dropped.  `collineation_stabilizes` decides every
+    complete matrix.
     """
     F, m = scheme.F, scheme.m
     basis = [_basis_vec(m, i) for i in range(m)]
-    all_points = list(gfq.projective_points(F, m))
-    single_ref = [scheme.profile((basis[i],)) for i in range(m)]
     pair_ref = {
         (i, j): scheme.profile((basis[i], basis[j]))
         for i in range(m)
         for j in range(i + 1, m)
     }
     prefix_ref = [scheme.profile(tuple(basis[: k + 1])) for k in range(m)]
+    by_profile: dict = {}
+    for p in gfq.projective_points(F, m):
+        by_profile.setdefault(scheme.profile((p,)), []).append(p)
+    level_cands = [by_profile.get(scheme.profile((basis[i],)), []) for i in range(m)]
+    by_last = [[] for _ in range(m)]
+    for p in scheme.points:
+        by_last[max(c for c in range(m) if p[c])].append(p)
     units = [c for c in F.elements() if c != 0]
     found: dict = {}
     chosen: list = []
+    cols: list = []
 
-    def try_units() -> None:
-        for lams in product(units, repeat=m - 1):
-            scale = (1,) + lams
-            M = tuple(
-                tuple(F.mul(scale[c], chosen[c][r]) for c in range(m))
-                for r in range(m)
-            )
+    def scale_from(c: int) -> None:
+        if c == m:
+            M = tuple(zip(*cols))
             if collineation_stabilizes(scheme, M):
                 found[canonical_matrix(F, M)] = True
-
-    def descend(i: int) -> None:
-        if i == m:
-            try_units()
             return
-        for p in all_points:
-            if scheme.profile((p,)) != single_ref[i]:
-                continue
-            if gfq.span_dim(F, chosen + [p]) != i + 1:
-                continue
-            if any(
-                scheme.profile((chosen[j], p)) != pair_ref[(j, i)]
-                for j in range(i)
+        for lam in units if c else (1,):
+            cols.append(gfq.vec_scale(F, lam, chosen[c]))
+            partial = tuple(zip(*cols))
+            if all(
+                gfq.normalize_point(F, gfq.mat_vec(F, partial, p)) in scheme.point_index
+                for p in by_last[c]
             ):
-                continue
-            if scheme.profile(tuple(chosen + [p])) != prefix_ref[i]:
-                continue
-            chosen.append(p)
-            descend(i + 1)
-            chosen.pop()
+                scale_from(c + 1)
+            cols.pop()
 
-    descend(0)
+    def descend(i: int, cands: list) -> None:
+        if i == m:
+            scale_from(0)
+            return
+        for p in cands[i]:
+            rows = gfq.echelon(F, chosen + [p])
+            if len(rows) != i + 1 or scheme.profile(rows) != prefix_ref[i]:
+                continue
+            with_p: dict = {}
+            deeper = cands[: i + 1]
+            for k in range(i + 1, m):
+                keep = []
+                for x in cands[k]:
+                    prof = with_p.get(x)
+                    if prof is None:
+                        prof = with_p[x] = scheme.profile((p, x))
+                    if prof == pair_ref[(i, k)]:
+                        keep.append(x)
+                if not keep:
+                    break
+                deeper.append(keep)
+            else:
+                chosen.append(p)
+                descend(i + 1, deeper)
+                chosen.pop()
+
+    descend(0, level_cands)
     return sorted(found)
 
 
 def proj_aut_group(scheme: SchemeModel) -> ProjAut:
-    F = scheme.F
+    """The semilinear stabilizer, each element with its point permutation.
+
+    The permutation of x -> M . Frob^t(x) is that of Frob^t followed by that
+    of M: Frobenius fixes the leading 1 of a normalized point, so it maps
+    normalized points to normalized points.
+    """
+    F, m = scheme.F, scheme.m
     linear = _frame_search(scheme)
+    identity = tuple(_basis_vec(m, i) for i in range(m))
+
+    def point_perm(g: Collineation):
+        perm = collineation_point_perm(scheme, g)
+        if perm is None:
+            raise AssertionError("semilinear element left the point set")
+        return perm
+
+    frob_perms = [point_perm(Collineation(identity, t)) for t in range(F.e)]
     elements = []
     perms = []
     for M in linear:
-        for t in range(F.e):
-            g = Collineation(M, t)
-            perm = collineation_point_perm(scheme, g)
-            if perm is None:
-                raise AssertionError("semilinear element left the point set")
-            elements.append(g)
-            perms.append(perm)
+        lin = point_perm(Collineation(M))
+        for t, frob in enumerate(frob_perms):
+            elements.append(Collineation(M, t))
+            perms.append(tuple(lin[i] for i in frob))
     degree = len(scheme.points)
     group = PermGroup(perms, degree)
     return ProjAut(scheme, linear, F.e, elements, perms, group)

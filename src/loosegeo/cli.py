@@ -38,6 +38,9 @@ def _load(path: str):
 
 
 def cmd_points(args) -> int:
+    if args.ext < 1:
+        print(f"error: extension degree must be at least 1, got {args.ext}", file=sys.stderr)
+        return 2
     g = _load(args.graph)
     scheme = build_scheme(g, args.q)
     if args.ext > 1:

@@ -58,7 +58,8 @@ def height_census(space: FiniteSpace) -> dict[int, int]:
         out[h] = out.get(h, 0) + 1
     # sanity against the binomial count
     for h, cnt in out.items():
-        assert cnt == comb(space.n_vars, h)
+        if cnt != comb(space.n_vars, h):
+            raise AssertionError(f"height {h}: {cnt} points, expected {comb(space.n_vars, h)}")
     return out
 
 

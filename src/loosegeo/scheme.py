@@ -124,10 +124,25 @@ class SchemeModel:
 
     # -- counting over extensions -------------------------------------------
 
+    @staticmethod
+    def _cached(cache: dict, rows):
+        """The entry stored under rows as given, or None.  Caches are keyed by
+        canonical echelon bases, so a hit means rows is the canonical basis of
+        that subspace and no elimination is needed."""
+        if not isinstance(rows, tuple):
+            return None
+        try:
+            return cache.get(rows)
+        except TypeError:  # rows holds unhashable vectors
+            return None
+
     def _dimension_map(self, rows) -> tuple[dict[int, int], list[int]]:
         """For the subspace spanned by rows: dim of the trace on every
         coordinate subset of the support union.  Keyed by the canonical basis.
         """
+        cached = self._cached(self._dmap_cache, rows)
+        if cached is not None:
+            return cached
         key = gfq.echelon(self.F, rows) if rows else ()
         cached = self._dmap_cache.get(key)
         if cached is not None:
@@ -175,7 +190,8 @@ class SchemeModel:
                     mask |= 1 << bits[j]
             if mask in self._good_supports:
                 total += f[s]
-        assert total % (x - 1) == 0
+        if total % (x - 1):
+            raise AssertionError(f"{total} affine points do not form projective points over F_{x}")
         return total // (x - 1)
 
     def point_count(self, r: int = 1) -> int:
@@ -192,8 +208,10 @@ class SchemeModel:
         The default (and cache key) runs to m+1 so extension stability at one
         degree beyond the ambient bound is always visible.
         """
-        key = gfq.echelon(self.F, rows) if rows else ()
-        full = self._profile_cache.get(key)
+        full = self._cached(self._profile_cache, rows)
+        if full is None:
+            key = gfq.echelon(self.F, rows) if rows else ()
+            full = self._profile_cache.get(key)
         if full is None:
             full = tuple(self.count_in_subspace(key, r) for r in range(1, self.m + 2))
             self._profile_cache[key] = full
@@ -407,7 +425,9 @@ def count_points(graph: LooseGraph, qs=None) -> dict[int, int]:
     for q in qs:
         model = build_scheme(graph, q)
         out[q] = len(model.points)
-        assert out[q] == model.point_count(1)
+        census = model.point_count(1)
+        if out[q] != census:
+            raise AssertionError(f"q={q}: {out[q]} points enumerated, census gives {census}")
     return out
 
 

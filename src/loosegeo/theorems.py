@@ -393,6 +393,15 @@ def _perm_subgroup(ctx: Context, elements) -> PermGroup:
     return PermGroup(perms, len(ctx.scheme.points))
 
 
+def _overlaps(rep: dict) -> list[dict]:
+    """The pairwise intersection orders of a central product report, as
+    plain data (JSON has no tuple keys)."""
+    return [
+        {"factors": [i, j], "order": order}
+        for (i, j), order in rep["intersection_orders"].items()
+    ]
+
+
 def _check_thmcp(ctx: Context) -> TheoremReport:
     shape = _toy_shape(ctx.graph)
     if shape is None:
@@ -415,7 +424,7 @@ def _check_thmcp(ctx: Context) -> TheoremReport:
         "fixing_group": N.order(),
         "commute": rep["commute"],
         "generates": rep["generates"],
-        "overlaps": rep["intersection_orders"],
+        "overlaps": _overlaps(rep),
     }
     ok = rep["ok"] and A.order() == q * (q - 1) ** 2 and B.order() == q * (q - 1)
     return TheoremReport("thmcp", ctx.name, q, "pass" if ok else "fail", quantities)
@@ -451,7 +460,7 @@ def _check_cenprod(ctx: Context) -> TheoremReport:
         "factors": [f.order() for f in factors],
         "commute": rep["commute"],
         "generates": rep["generates"],
-        "overlaps": rep["intersection_orders"],
+        "overlaps": _overlaps(rep),
     }
     return TheoremReport("cenprod", ctx.name, ctx.q, "pass" if rep["ok"] else "fail", quantities)
 
@@ -815,13 +824,14 @@ def run_suite(entries, qs=(2, 3)) -> dict:
     reports = []
     for entry in entries:
         graph = entry["graph"]
-        for q in entry.get("qs", qs):
+        entry_qs = entry.get("qs", qs)
+        for q in entry_qs:
             ctx = None if graph is None else Context(graph, q, entry["name"])
             for check in entry["checks"]:
                 options = None
                 if check == "igp":
                     options = {"expected": entry.get("igp_expected", True)}
-                if check == "functoriality" and q != qs[0]:
+                if check == "functoriality" and q != entry_qs[0]:
                     continue
                 reports.append(verify(check, graph, q, entry["name"], options, ctx))
     failed = [r for r in reports if r.verdict == "fail"]

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from loosegeo import autsearch
 from loosegeo.scheme import build_scheme
 from conftest import corpus_graph
+from test_formats import loose_graphs
 
 
 def model(name, q):
@@ -15,6 +17,9 @@ def model(name, q):
     ("k3", 2, 168),
     ("gamma1", 2, 8),
     ("gamma2", 2, 192),
+    ("spider", 3, 64),
+    ("p4", 4, 108),
+    ("toy", 4, 1728),
 ])
 def test_proj_group_orders(name, q, order):
     proj = autsearch.proj_aut_group(model(name, q))
@@ -28,6 +33,36 @@ def test_frame_search_matches_exhaustive_at_q2(name):
     proj = autsearch.proj_aut_group(scheme)
     oracle = autsearch.exhaustive_stabilizer(scheme)
     assert sorted(proj.linear) == sorted(oracle)
+
+
+@pytest.mark.parametrize("name", ["k2", "p3"])
+def test_frame_search_matches_exhaustive_at_q3(name):
+    scheme = model(name, 3)
+    assert autsearch.proj_aut_group(scheme).linear == autsearch.exhaustive_stabilizer(scheme)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3]))
+def test_frame_search_matches_exhaustive_on_random_graphs(g, q):
+    assume(1 <= len(g.completion()) <= 3)
+    scheme = build_scheme(g, q)
+    assert autsearch.proj_aut_group(scheme).linear == autsearch.exhaustive_stabilizer(scheme)
+
+
+def test_composed_point_perms_match_direct_action_at_q4():
+    scheme = model("p4", 4)
+    proj = autsearch.proj_aut_group(scheme)
+    assert {g.frob for g in proj.elements} == {0, 1}
+    for g, perm in zip(proj.elements, proj.perms):
+        assert perm == autsearch.collineation_point_perm(scheme, g)
+
+
+def test_singular_matrix_does_not_stabilize():
+    scheme = model("toy", 3)
+    # the rational points are mapped before inverting, so zero images occur
+    rank3 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0))
+    assert not autsearch.collineation_stabilizes(scheme, rank3)
+    assert not autsearch.collineation_stabilizes(scheme, ((0,) * 4,) * 4)
 
 
 def test_every_element_stabilizes():

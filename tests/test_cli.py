@@ -93,3 +93,29 @@ def test_suite_on_mini_manifest(tmp_path, capsys):
     code, out, _ = run(capsys, "suite", manifest)
     assert code == 0
     assert "2 checks, 0 failed" in out
+
+
+@pytest.mark.parametrize("ext", [0, -1])
+def test_points_rejects_extension_below_one(capsys, ext):
+    code, out, err = run(capsys, "points", CORPUS / "toy.lg", "-q", 2, "--ext", ext)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+def test_central_product_reports_are_json(tmp_path, capsys):
+    manifest = tmp_path / "mini.txt"
+    manifest.write_text(f"graph {CORPUS / 'toy.lg'} thmcp q=2\n"
+                        f"graph {CORPUS / 'p4.lg'} cenprod q=2\n")
+    code, out, _ = run(capsys, "suite", manifest, "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert [r["theorem"] for r in reports] == ["thmcp", "cenprod"]
+    for r in reports:
+        assert r["quantities"]["overlaps"]
+        for overlap in r["quantities"]["overlaps"]:
+            assert set(overlap) == {"factors", "order"}
+    # p3 has one inner vertex, so cenprod skips there; p4 reports overlaps
+    for graph in ("p3", "p4"):
+        code, out, _ = run(capsys, "verify", "cenprod", CORPUS / f"{graph}.lg", "-q", 2, "--json")
+        assert code == 0
+        json.loads(out)

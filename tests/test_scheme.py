@@ -5,6 +5,7 @@ import pytest
 
 from loosegeo import gfq
 from loosegeo.scheme import (
+    SchemeModel,
     build_scheme,
     classify_lines,
     convexity_check,
@@ -69,6 +70,30 @@ def test_extension_counts_are_consistent():
     for r in (1, 2, 3):
         q = 2 ** r
         assert model.point_count(r) == 2 * q * q - q + 1
+
+
+def test_count_points_rejects_census_mismatch(monkeypatch):
+    monkeypatch.setattr(SchemeModel, "point_count", lambda self, r=1: len(self.points) + 1)
+    with pytest.raises(AssertionError):
+        count_points(corpus_graph("toy"), [2])
+
+
+def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
+    model = build_scheme(corpus_graph("toy"), 3)
+    rows = ((1, 2, 0, 0), (2, 1, 1, 0))
+    key = gfq.echelon(model.F, rows)
+    assert key != rows
+    prof = model.profile(rows)
+    echelon = gfq.echelon
+    calls = []
+
+    def counting_echelon(F, vectors):
+        calls.append(vectors)
+        return echelon(F, vectors)
+
+    monkeypatch.setattr(gfq, "echelon", counting_echelon)
+    assert model.profile(key) == prof and calls == []
+    assert model.profile(rows) == prof and calls == [rows]
 
 
 def test_profile_of_full_space():

@@ -134,3 +134,10 @@ def test_run_suite_with_manifest_subset(tmp_path):
     verdicts = {(r.theorem, r.graph): r.verdict for r in result["reports"]}
     assert verdicts[("ddc", "toy")] == "pass"
     assert verdicts[("cenprod", "p3")] == "skip"
+
+
+def test_suite_keeps_functoriality_under_entry_q_override():
+    entries = formats.parse_manifest("global functoriality,transroot q=2\n", base_dir=str(CORPUS))
+    result = theorems.run_suite(entries, qs=(3,))
+    assert [(r.theorem, r.q) for r in result["reports"]] == [
+        ("functoriality", 2), ("transroot", 2)]
