@@ -97,27 +97,37 @@ def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
     )
 
 
-def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
-    """Exact scheme-stabilizer test for a linear collineation.
+def _stabilizer_point_map(scheme: SchemeModel, M):
+    """The permutation of the rational points induced by a linear
+    collineation M if M stabilizes X, else None.
 
     X is the union of its pieces, so M stabilizes X iff the image of every
     piece under M and under M^{-1} is contained in X over all extensions.
-    Mapping the rational points into X is checked first as a fast filter;
-    a point sent to zero shows that M is singular.
+    Mapping the rational points into X is checked first as a fast filter,
+    and its point indices are the permutation; a point sent to zero shows
+    that M is singular.
     """
     F = scheme.F
+    perm = []
     for p in scheme.points:
         img = gfq.mat_vec(F, M, p)
-        if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
-            return False
+        i = scheme.point_index.get(gfq.normalize_point(F, img)) if any(img) else None
+        if i is None:
+            return None
+        perm.append(i)
     Minv = gfq.mat_inv(F, M)
     if Minv is None:
-        return False
+        return None
     for mat in (M, Minv):
         for piece in scheme.pieces:
             if not _piece_contained(scheme, mat, piece):
-                return False
-    return True
+                return None
+    return tuple(perm)
+
+
+def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
+    """Exact scheme-stabilizer test for a linear collineation."""
+    return _stabilizer_point_map(scheme, M) is not None
 
 
 # -- projective stabilizer search -------------------------------------------
@@ -160,7 +170,7 @@ class ProjAut:
         return out
 
 
-def _frame_search(scheme: SchemeModel) -> list:
+def _frame_search(scheme: SchemeModel) -> dict:
     """All linear stabilizers via images of the coordinate frame.
 
     A linear collineation is determined by the images of the basis points
@@ -180,8 +190,9 @@ def _frame_search(scheme: SchemeModel) -> list:
     chosen one column at a time.  Once the scales of columns 0..c are fixed,
     the image of every rational point whose last nonzero coordinate is c is
     fixed too; a stabilizer maps X(F_q) onto itself, so a scale sending such
-    a point outside X is dropped.  `collineation_stabilizes` decides every
-    complete matrix.
+    a point outside X is dropped.  `_stabilizer_point_map` decides every
+    complete matrix; the result maps each canonical matrix to its point
+    permutation.
     """
     F, m = scheme.F, scheme.m
     basis = [_basis_vec(m, i) for i in range(m)]
@@ -206,8 +217,9 @@ def _frame_search(scheme: SchemeModel) -> list:
     def scale_from(c: int) -> None:
         if c == m:
             M = tuple(zip(*cols))
-            if collineation_stabilizes(scheme, M):
-                found[canonical_matrix(F, M)] = True
+            perm = _stabilizer_point_map(scheme, M)
+            if perm is not None:
+                found[canonical_matrix(F, M)] = perm
             return
         for lam in units if c else (1,):
             cols.append(gfq.vec_scale(F, lam, chosen[c]))
@@ -246,7 +258,7 @@ def _frame_search(scheme: SchemeModel) -> list:
                 chosen.pop()
 
     descend(0, level_cands)
-    return sorted(found)
+    return found
 
 
 def proj_aut_group(scheme: SchemeModel) -> ProjAut:
@@ -257,7 +269,8 @@ def proj_aut_group(scheme: SchemeModel) -> ProjAut:
     normalized points to normalized points.
     """
     F, m = scheme.F, scheme.m
-    linear = _frame_search(scheme)
+    found = _frame_search(scheme)
+    linear = sorted(found)
     identity = tuple(_basis_vec(m, i) for i in range(m))
 
     def point_perm(g: Collineation):
@@ -270,7 +283,7 @@ def proj_aut_group(scheme: SchemeModel) -> ProjAut:
     elements = []
     perms = []
     for M in linear:
-        lin = point_perm(Collineation(M))
+        lin = found[M]
         for t, frob in enumerate(frob_perms):
             elements.append(Collineation(M, t))
             perms.append(tuple(lin[i] for i in frob))
@@ -369,8 +382,9 @@ def plane_pointwise_stabilizer(proj: ProjAut, completion_vertices) -> dict:
 class CombAut:
     scheme: SchemeModel
     lines: list
-    perms: list
+    perms: list  # every automorphism, expanded from the chain
     perm_group: PermGroup
+    nodes: int  # search nodes: point images the backtrack accepted
 
     @property
     def order(self) -> int:
@@ -401,73 +415,133 @@ def _refine_colors(n: int, incident: list, line_kind: list, line_pts: list):
 
 
 def comb_aut_group(scheme: SchemeModel) -> CombAut:
-    """All automorphisms of the point-line geometry preserving line kinds.
+    """The automorphisms of the point-line geometry preserving line kinds,
+    found from generators.
 
-    Backtracking over point images, pruned by an iterated incidence coloring
-    and by pairwise line signatures; every line fully inside the assigned
-    part must already map onto a line of the same kind.
+    The points are assigned images in a fixed order (by the size of their
+    class under an iterated incidence colouring, then by index), which is
+    also the base of the resulting stabilizer chain.  Lines propagate the
+    images: once a line has one mapped point, mapping a second point of it
+    fixes its image line, which must be unused and of the same kind and
+    size, and every later point of the line must go to a point of that
+    image line.  A pair of non-collinear points must map to a non-collinear
+    pair.
+
+    The first path tries the identity image first and ends in the identity.
+    Backtracking along it, at the level of base point b an image t is
+    skipped if it lies in the orbit of b under the generators found so far
+    (all of which fix the earlier base points); otherwise the search below
+    it stops at its first leaf, which becomes a generator.  The generators
+    found therefore form a strong generating set relative to the base.
     """
     lines = classify_lines(scheme)
     n = len(scheme.points)
     line_pts = [sorted(scheme.point_index[p] for p in L.points) for L in lines]
-    line_kind = [L.kind for L in lines]
-    line_lookup = {frozenset(pts): k for k, pts in enumerate(line_pts)}
+    line_sets = [set(pts) for pts in line_pts]
+    line_type = [(L.kind, len(pts)) for L, pts in zip(lines, line_pts)]
     incident = [[] for _ in range(n)]
+    through: dict = {}
     for k, pts in enumerate(line_pts):
-        for i in pts:
-            incident[i].append(k)
-    colors = _refine_colors(n, incident, line_kind, line_pts)
-    pair_sig: dict = {}
-    for k, pts in enumerate(line_pts):
-        for a_i, a in enumerate(pts):
-            for b in pts[a_i + 1:]:
-                pair_sig.setdefault((a, b), []).append((line_kind[k], len(pts)))
-    for key in pair_sig:
-        pair_sig[key] = tuple(sorted(pair_sig[key]))
-
-    def sig(a: int, b: int):
-        return pair_sig.get((a, b) if a < b else (b, a), ())
-
+        for a in pts:
+            incident[a].append(k)
+            for b in pts:
+                if a != b:
+                    through[(a, b)] = k
+    colors = _refine_colors(n, incident, [L.kind for L in lines], line_pts)
     by_color: dict = {}
     for i, c in enumerate(colors):
         by_color.setdefault(c, []).append(i)
     order = sorted(range(n), key=lambda i: (len(by_color[colors[i]]), i))
-    pos = {p: k for k, p in enumerate(order)}
-    complete_at = [[] for _ in range(n)]
-    for k, pts in enumerate(line_pts):
-        complete_at[max(pos[i] for i in pts)].append(k)
+    apart = [
+        [j for j in order[:step] if (i, j) not in through]
+        for step, i in enumerate(order)
+    ]
 
-    found = []
     image = [-1] * n
     used = [False] * n
+    line_img = [-1] * len(lines)
+    line_used = [False] * len(lines)
+    orbit_of = list(range(n))  # union-find over the orbits of the generators
+    gens: list = []
+    nodes = 0
 
-    def descend(step: int) -> None:
+    def root(x: int) -> int:
+        while orbit_of[x] != x:
+            orbit_of[x] = orbit_of[orbit_of[x]]
+            x = orbit_of[x]
+        return x
+
+    def candidates(i: int) -> list:
+        fixed = [line_img[k] for k in incident[i] if line_img[k] >= 0]
+        if not fixed:
+            return [t for t in by_color[colors[i]] if not used[t]]
+        return [
+            t for t in line_pts[fixed[0]]
+            if not used[t] and colors[t] == colors[i]
+            and all(t in line_sets[L] for L in fixed[1:])
+        ]
+
+    def unfix(fixed: list) -> None:
+        for k in fixed:
+            line_used[line_img[k]] = False
+            line_img[k] = -1
+
+    def assign(step: int, i: int, t: int):
+        """Map i to t and fix the image lines this determines; returns those
+        lines, or None (with nothing changed) if a line or pair breaks."""
+        if any((t, image[j]) in through for j in apart[step]):
+            return None
+        fixed = []
+        for k in incident[i]:
+            if line_img[k] >= 0:
+                continue
+            a = next((p for p in line_pts[k] if image[p] >= 0), None)
+            if a is None:
+                continue
+            L = through.get((t, image[a]))
+            if L is None or line_used[L] or line_type[L] != line_type[k]:
+                unfix(fixed)
+                return None
+            line_img[k] = L
+            line_used[L] = True
+            fixed.append(k)
+        image[i] = t
+        used[t] = True
+        return fixed
+
+    def descend(step: int, first: bool) -> bool:
+        """Search below the current partial map; off the first path, stop at
+        the first leaf and report whether one was found."""
+        nonlocal nodes
         if step == n:
-            found.append(tuple(image))
-            return
+            if not first:
+                gens.append(tuple(image))
+                for x, y in enumerate(image):
+                    orbit_of[root(x)] = root(y)
+            return True
         i = order[step]
-        for t in by_color[colors[i]]:
-            if used[t]:
+        cands = candidates(i)
+        if first:
+            cands.sort(key=lambda t: t != i)
+        for t in cands:
+            stay = first and t == i
+            if first and not stay and root(t) == root(i):
                 continue
-            if any(sig(i, order[j]) != sig(t, image[order[j]]) for j in range(step)):
+            fixed = assign(step, i, t)
+            if fixed is None:
                 continue
-            image[i] = t
-            used[t] = True
-            ok = True
-            for k in complete_at[step]:
-                img = frozenset(image[p] for p in line_pts[k])
-                k2 = line_lookup.get(img)
-                if k2 is None or line_kind[k2] != line_kind[k]:
-                    ok = False
-                    break
-            if ok:
-                descend(step + 1)
+            nodes += 1
+            found = descend(step + 1, stay)
             image[i] = -1
             used[t] = False
+            unfix(fixed)
+            if found and not first:
+                return True
+        return False
 
-    descend(0)
-    group = PermGroup(found, n)
-    return CombAut(scheme, lines, found, group)
+    descend(0, True)
+    group = PermGroup(gens, n, base_hint=order)
+    return CombAut(scheme, lines, group.elements(), group, nodes)
 
 
 # -- embedded inner graph -----------------------------------------------------

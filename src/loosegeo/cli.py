@@ -92,6 +92,8 @@ def cmd_aut(args) -> int:
         "linear_order": proj.linear_order,
         "combinatorial_order": comb.order,
         "equal": proj.perm_group.same_group(comb.perm_group),
+        "combinatorial_generators": len(comb.perm_group.generators),
+        "combinatorial_search_nodes": comb.nodes,
     }
     _emit(args, payload, [
         f"projective stabilizer order: {proj.order} (linear part {proj.linear_order})",

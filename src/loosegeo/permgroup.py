@@ -1,9 +1,11 @@
 """Permutation groups with exact integer orders.
 
-Permutations are image tuples on range(degree).  The stabilizer chain is the
-plain deterministic Schreier-Sims with Schreier-generator closure and
-deduplication; group orders here stay small (at most a few tens of
-thousands), so no randomization or fancy data structures are needed.
+Permutations are image tuples on range(degree).  The stabilizer chain is
+built by deterministic incremental Schreier-Sims with sifting: only
+generators and Schreier generators that do not sift to the identity join the
+chain, so its levels hold a strong generating set, however many redundant
+generators the group was given.  Orders here stay small (at most a few
+hundred thousand), so no randomization is needed.
 """
 
 from __future__ import annotations
@@ -30,25 +32,54 @@ def inverse(p):
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal")
+    """One level of the stabilizer chain.
 
-    def __init__(self, point: int):
+    `gens` generate the pointwise stabilizer of the earlier base points;
+    `transversal` maps each point of the orbit of `point` under them to a
+    coset representative u with u(point) = that point, and `inverses` holds
+    the inverses of those representatives for sifting.  Representatives of
+    known points never change, so a Schreier generator checked once stays
+    checked, which `checked` records.
+    """
+
+    __slots__ = ("point", "gens", "transversal", "inverses", "checked")
+
+    def __init__(self, point: int, degree: int):
+        ident = identity_perm(degree)
         self.point = point
         self.gens: list[tuple[int, ...]] = []
-        self.transversal: dict[int, tuple[int, ...]] = {}
+        self.transversal: dict[int, tuple[int, ...]] = {point: ident}
+        self.inverses: dict[int, tuple[int, ...]] = {point: ident}
+        self.checked: set[tuple[int, int]] = set()
 
-    def rebuild(self, degree: int) -> None:
-        ident = identity_perm(degree)
-        trans = {self.point: ident}
-        frontier = [self.point]
+    def add_generator(self, g) -> None:
+        self.gens.append(g)
+        trans, invs = self.transversal, self.inverses
+        frontier = list(trans)
         while frontier:
             pt = frontier.pop()
-            for g in self.gens:
-                img = g[pt]
+            for s in self.gens:
+                img = s[pt]
                 if img not in trans:
-                    trans[img] = compose(g, trans[pt])
+                    u = compose(s, trans[pt])
+                    trans[img] = u
+                    invs[img] = inverse(u)
                     frontier.append(img)
-        self.transversal = trans
+
+
+def _strip(levels: list[_Level], g, start: int):
+    """Sift g through levels[start:]; returns the residue and the level at
+    which it left the chain (len(levels) if it passed every level)."""
+    for j in range(start, len(levels)):
+        level = levels[j]
+        img = g[level.point]
+        if img == level.point:
+            continue  # its representative is the identity
+        inv = level.inverses.get(img)
+        if inv is None:
+            return g, j
+        g = compose(inv, g)
+    return g, len(levels)
 
 
 class PermGroup:
@@ -66,32 +97,60 @@ class PermGroup:
         return self._levels
 
     def _build_chain(self) -> list[_Level]:
+        """Deterministic incremental Schreier-Sims with sifting.
+
+        The generators are added one at a time, and the chain is completed
+        after each: a generator that sifts to the identity is already in the
+        group and is dropped.  A residue that leaves the chain at level j
+        fixes the base points before j, so it joins levels 0..j (a new level
+        based at its first moved point when j is past the last one).  The
+        chain is complete when, at every level, each Schreier generator
+        u_{s(b)}^-1 s u_b sifts to the identity through the deeper levels;
+        the levels are checked deepest first, and a Schreier generator that
+        does not sift joins the levels in the same way, sending the check
+        back to the deepest level it reached.
+        """
         degree = self.degree
-        levels: list[_Level] = [_Level(b) for b in self._base_hint]
+        levels = [_Level(b, degree) for b in self._base_hint]
 
-        def build(i: int, gens: list[tuple[int, ...]]) -> None:
-            gens = sorted(set(g for g in gens if not is_identity(g)))
-            if i >= len(levels):
-                if not gens:
-                    return
-                moved = min(min(x for x in range(degree) if g[x] != x) for g in gens)
-                levels.append(_Level(moved))
+        def install(h, j: int) -> None:
+            if j == len(levels):
+                levels.append(_Level(next(x for x in range(degree) if h[x] != x), degree))
+            for level in levels[: j + 1]:
+                level.add_generator(h)
+
+        def unchecked_residue(i: int):
             level = levels[i]
-            # every generator takes part in the orbit: one fixing the base
-            # point can still extend the orbit from another orbit point
-            level.gens = list(gens)
-            level.rebuild(degree)
-            schreier = set()
-            for pt, u in level.transversal.items():
-                for s in level.gens:
-                    rep = level.transversal[s[pt]]
-                    sg = compose(inverse(rep), compose(s, u))
-                    if not is_identity(sg):
-                        schreier.add(sg)
-            build(i + 1, sorted(schreier))
+            for b, u in list(level.transversal.items()):
+                for k, s in enumerate(level.gens):
+                    if (b, k) in level.checked:
+                        continue
+                    level.checked.add((b, k))
+                    sb = s[b]
+                    if b == level.point and sb == b:
+                        continue  # s itself, a generator of level i + 1
+                    inv = level.inverses[sb]
+                    sg = tuple(inv[s[u[x]]] for x in range(degree))
+                    if is_identity(sg):
+                        continue
+                    h, j = _strip(levels, sg, i + 1)
+                    if not is_identity(h):
+                        return h, j
+            return None
 
-        build(0, list(self.generators))
-        # drop trailing trivial hint levels is unnecessary; keep determinism
+        for g in self.generators:
+            h, j = _strip(levels, g, 0)
+            if is_identity(h):
+                continue
+            install(h, j)
+            i = j
+            while i >= 0:
+                found = unchecked_residue(i)
+                if found is None:
+                    i -= 1
+                else:
+                    install(*found)
+                    i = found[1]
         return levels
 
     def order(self) -> int:
@@ -102,13 +161,7 @@ class PermGroup:
 
     def sift(self, p):
         """Strip p through the chain; returns the residue (identity iff member)."""
-        g = tuple(p)
-        for level in self._chain():
-            img = g[level.point]
-            if img not in level.transversal:
-                return g
-            g = compose(inverse(level.transversal[img]), g)
-        return g
+        return _strip(self._chain(), tuple(p), 0)[0]
 
     def contains(self, p) -> bool:
         if len(p) != self.degree:
@@ -145,20 +198,14 @@ class PermGroup:
         return seen
 
 
-def bsgs(generators, degree: int, base_hint=()) -> PermGroup:
-    return PermGroup(generators, degree, base_hint=base_hint)
-
-
 def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
-    """Subgroup fixing every listed point, via a chain based at those points."""
+    """Subgroup fixing every listed point, read off a chain based at those
+    points: the generators of level k generate the stabilizer of the first k
+    base points."""
     points = list(points)
-    rebased = PermGroup(group.generators, group.degree, base_hint=points)
-    chain = rebased._chain()
+    chain = PermGroup(group.generators, group.degree, base_hint=points)._chain()
     k = len(points)
-    gens = chain[k].gens + [g for lvl in chain[k + 1 :] for g in lvl.gens] if k < len(chain) else []
-    # generators of level k generate the pointwise stabilizer already, but the
-    # union over deeper levels is harmless and keeps this obviously correct
-    return PermGroup(gens, group.degree)
+    return PermGroup(chain[k].gens if k < len(chain) else [], group.degree)
 
 
 def setwise_stabilizer(group: PermGroup, points) -> PermGroup:
@@ -229,19 +276,4 @@ def verify_central_product(group: PermGroup, factors) -> dict:
         "factor_orders": [f.order() for f in factors],
         "intersection_orders": inter,
         "ok": commute and generates,
-    }
-
-
-def factor_order_identity(group: PermGroup, normal: PermGroup, outer_orders) -> dict:
-    """Check |G| = |N| * product(outer orders) with N normal in G."""
-    normality = is_normal(group, normal) and normal.is_subgroup_of(group)
-    expected = normal.order()
-    for n in outer_orders:
-        expected *= n
-    return {
-        "normal": normality,
-        "group_order": group.order(),
-        "normal_order": normal.order(),
-        "outer_orders": list(outer_orders),
-        "ok": normality and group.order() == expected,
     }

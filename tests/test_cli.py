@@ -44,6 +44,18 @@ def test_aut_json(capsys):
     assert payload["equal"] is True
 
 
+def test_aut_json_reports_search_counters(capsys):
+    code, out, _ = run(capsys, "aut", CORPUS / "k3.lg", "-q", 2, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["combinatorial_order"] == payload["projective_order"] == 168
+    # PGL(3, 2) is not cyclic; each generator kept lies outside the group of
+    # the earlier ones, so there are at most log2(168) < 8 of them
+    assert 2 <= payload["combinatorial_generators"] <= 7
+    # the first path alone maps each of the 7 points
+    assert payload["combinatorial_search_nodes"] >= 7
+
+
 def test_lines_command(capsys):
     code, out, _ = run(capsys, "lines", CORPUS / "toy.lg", "-q", 2)
     assert code == 0

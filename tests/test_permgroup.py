@@ -83,3 +83,48 @@ def test_order_divides_symmetric_group(gens):
     assert 120 % g.order() == 0
     for p in gens:
         assert g.contains(tuple(p))
+
+
+def closure(gens, n):
+    """Every product of the generators, grown from the identity."""
+    ident = tuple(range(n))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = compose(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@st.composite
+def generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    gens = draw(st.lists(st.permutations(list(range(n))), max_size=4))
+    base = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=3, unique=True))
+    return n, [tuple(g) for g in gens], base
+
+
+@given(generator_sets())
+def test_sifting_chain_matches_closure(data):
+    n, gens, base = data
+    g = PermGroup(gens, n, base_hint=base)
+    group = closure(gens, n)
+    assert g.order() == len(group)
+    assert [level.point for level in g._chain()][: len(base)] == base
+    elements = g.elements()
+    assert len(elements) == len(set(elements)) == g.order()
+    assert set(elements) == group
+    for p in permutations(range(n)):
+        assert g.contains(p) == (p in group)
+
+
+@given(generator_sets())
+def test_pointwise_stabilizer_matches_closure(data):
+    n, gens, pts = data
+    g = PermGroup(gens, n)
+    fixing = [p for p in closure(gens, n) if all(p[x] == x for x in pts)]
+    assert pointwise_stabilizer(g, pts).order() == len(fixing)
