@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import gfq
-from .permgroup import PermGroup
+from .permgroup import PermGroup, block_automorphisms
 from .scheme import SchemeModel, classify_lines, line_rational_points
 
 
@@ -357,16 +357,7 @@ def plane_pointwise_stabilizer(proj: ProjAut, completion_vertices) -> dict:
     subspace spanned by the given completion vertices."""
     scheme = proj.scheme
     F, m = scheme.F, scheme.m
-    basis = [_basis_vec(m, scheme.index[v]) for v in completion_vertices]
-    pts = []
-    for vals in product(F.elements(), repeat=len(basis)):
-        if all(c == 0 for c in vals):
-            continue
-        vec = [0] * m
-        for b, c in zip(basis, vals):
-            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        pts.append(gfq.normalize_point(F, tuple(vec)))
-    pts = sorted(set(pts))
+    pts = gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in completion_vertices])
     keep = [
         g
         for g in proj.elements
@@ -391,156 +382,14 @@ class CombAut:
         return len(self.perms)
 
 
-def _refine_colors(n: int, incident: list, line_kind: list, line_pts: list):
-    colors = [0] * n
-    # seed with the multiset of (kind, length) of lines through each point
-    seed = {}
-    for i in range(n):
-        key = tuple(sorted((line_kind[k], len(line_pts[k])) for k in incident[i]))
-        colors[i] = seed.setdefault(key, len(seed))
-    while True:
-        table: dict = {}
-        new = [0] * n
-        for i in range(n):
-            sig = tuple(
-                sorted(
-                    (line_kind[k], tuple(sorted(colors[j] for j in line_pts[k])))
-                    for k in incident[i]
-                )
-            )
-            new[i] = table.setdefault((colors[i], sig), len(table))
-        if new == colors:
-            return colors
-        colors = new
-
-
 def comb_aut_group(scheme: SchemeModel) -> CombAut:
     """The automorphisms of the point-line geometry preserving line kinds,
-    found from generators.
-
-    The points are assigned images in a fixed order (by the size of their
-    class under an iterated incidence colouring, then by index), which is
-    also the base of the resulting stabilizer chain.  Lines propagate the
-    images: once a line has one mapped point, mapping a second point of it
-    fixes its image line, which must be unused and of the same kind and
-    size, and every later point of the line must go to a point of that
-    image line.  A pair of non-collinear points must map to a non-collinear
-    pair.
-
-    The first path tries the identity image first and ends in the identity.
-    Backtracking along it, at the level of base point b an image t is
-    skipped if it lies in the orbit of b under the generators found so far
-    (all of which fix the earlier base points); otherwise the search below
-    it stops at its first leaf, which becomes a generator.  The generators
-    found therefore form a strong generating set relative to the base.
-    """
+    found from generators by `permgroup.block_automorphisms` with the
+    classified lines as blocks and one seed colour for every point."""
     lines = classify_lines(scheme)
     n = len(scheme.points)
-    line_pts = [sorted(scheme.point_index[p] for p in L.points) for L in lines]
-    line_sets = [set(pts) for pts in line_pts]
-    line_type = [(L.kind, len(pts)) for L, pts in zip(lines, line_pts)]
-    incident = [[] for _ in range(n)]
-    through: dict = {}
-    for k, pts in enumerate(line_pts):
-        for a in pts:
-            incident[a].append(k)
-            for b in pts:
-                if a != b:
-                    through[(a, b)] = k
-    colors = _refine_colors(n, incident, [L.kind for L in lines], line_pts)
-    by_color: dict = {}
-    for i, c in enumerate(colors):
-        by_color.setdefault(c, []).append(i)
-    order = sorted(range(n), key=lambda i: (len(by_color[colors[i]]), i))
-    apart = [
-        [j for j in order[:step] if (i, j) not in through]
-        for step, i in enumerate(order)
-    ]
-
-    image = [-1] * n
-    used = [False] * n
-    line_img = [-1] * len(lines)
-    line_used = [False] * len(lines)
-    orbit_of = list(range(n))  # union-find over the orbits of the generators
-    gens: list = []
-    nodes = 0
-
-    def root(x: int) -> int:
-        while orbit_of[x] != x:
-            orbit_of[x] = orbit_of[orbit_of[x]]
-            x = orbit_of[x]
-        return x
-
-    def candidates(i: int) -> list:
-        fixed = [line_img[k] for k in incident[i] if line_img[k] >= 0]
-        if not fixed:
-            return [t for t in by_color[colors[i]] if not used[t]]
-        return [
-            t for t in line_pts[fixed[0]]
-            if not used[t] and colors[t] == colors[i]
-            and all(t in line_sets[L] for L in fixed[1:])
-        ]
-
-    def unfix(fixed: list) -> None:
-        for k in fixed:
-            line_used[line_img[k]] = False
-            line_img[k] = -1
-
-    def assign(step: int, i: int, t: int):
-        """Map i to t and fix the image lines this determines; returns those
-        lines, or None (with nothing changed) if a line or pair breaks."""
-        if any((t, image[j]) in through for j in apart[step]):
-            return None
-        fixed = []
-        for k in incident[i]:
-            if line_img[k] >= 0:
-                continue
-            a = next((p for p in line_pts[k] if image[p] >= 0), None)
-            if a is None:
-                continue
-            L = through.get((t, image[a]))
-            if L is None or line_used[L] or line_type[L] != line_type[k]:
-                unfix(fixed)
-                return None
-            line_img[k] = L
-            line_used[L] = True
-            fixed.append(k)
-        image[i] = t
-        used[t] = True
-        return fixed
-
-    def descend(step: int, first: bool) -> bool:
-        """Search below the current partial map; off the first path, stop at
-        the first leaf and report whether one was found."""
-        nonlocal nodes
-        if step == n:
-            if not first:
-                gens.append(tuple(image))
-                for x, y in enumerate(image):
-                    orbit_of[root(x)] = root(y)
-            return True
-        i = order[step]
-        cands = candidates(i)
-        if first:
-            cands.sort(key=lambda t: t != i)
-        for t in cands:
-            stay = first and t == i
-            if first and not stay and root(t) == root(i):
-                continue
-            fixed = assign(step, i, t)
-            if fixed is None:
-                continue
-            nodes += 1
-            found = descend(step + 1, stay)
-            image[i] = -1
-            used[t] = False
-            unfix(fixed)
-            if found and not first:
-                return True
-        return False
-
-    descend(0, True)
-    group = PermGroup(gens, n, base_hint=order)
+    blocks = [[scheme.point_index[p] for p in L.points] for L in lines]
+    group, nodes = block_automorphisms(n, blocks, [L.kind for L in lines], [0] * n)
     return CombAut(scheme, lines, group.elements(), group, nodes)
 
 

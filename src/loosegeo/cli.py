@@ -37,6 +37,14 @@ def _load(path: str):
         raise SystemExit(2)
 
 
+def _load_morphism(path: str):
+    try:
+        return formats.load_morphism(path)
+    except (OSError, formats.FormatError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_points(args) -> int:
     if args.ext < 1:
         print(f"error: extension degree must be at least 1, got {args.ext}", file=sys.stderr)
@@ -104,11 +112,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    try:
-        mor = formats.load_morphism(args.morphism)
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mor = _load_morphism(args.morphism)
     mat = matrices.global_matrix(mor)
     rep = matrices.injectivity_criterion(mor)
     payload = {
@@ -125,11 +129,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    try:
-        mor = formats.load_morphism(args.morphism)
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mor = _load_morphism(args.morphism)
     rep = matrices.kernel_f1(mor, args.q)
     payload = {
         "q": args.q,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .permgroup import PermGroup
+from .permgroup import PermGroup, block_automorphisms
 
 MAX_SPEC_VARS = 20
 MAX_TOPO_POINTS = 2**16
@@ -108,52 +108,21 @@ def point_congruence(vector) -> PointCongruence:
 def topo_aut_group(space: FiniteSpace) -> PermGroup:
     """Automorphisms of the specialization order, as a permutation group.
 
-    Backtracking with a small invariant refinement; the poset sizes used in
-    practice are tiny (the bound below is a hard safety stop).
+    The search is `permgroup.block_automorphisms` with the comparable pairs
+    as blocks, seeded with (down-set size, up-set size): a strict relation
+    a < b has the smaller down-set at a, so a map preserving comparability
+    and these colours keeps the direction of the order.  The bound below is
+    a hard safety stop.
     """
     pts = list(space.points)
     if len(pts) > MAX_TOPO_POINTS:
         raise ValueError("space too large for automorphism search")
     n = len(pts)
-    below = [frozenset(j for j, q in enumerate(pts) if space.leq(q, p)) for p in pts]
-    above = [frozenset(j for j, q in enumerate(pts) if space.leq(p, q)) for p in pts]
-
-    # invariant: (|down-set|, |up-set|), iterated once with neighbour multisets
-    inv = [(len(below[i]), len(above[i])) for i in range(n)]
-    inv = [
-        (inv[i], tuple(sorted(inv[j] for j in below[i])), tuple(sorted(inv[j] for j in above[i])))
-        for i in range(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if space.leq(pts[i], pts[j]) or space.leq(pts[j], pts[i])]
+    sizes = [
+        (sum(space.leq(q, p) for q in pts), sum(space.leq(p, q) for q in pts))
+        for p in pts
     ]
-
-    found: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def consistent(i: int, img: int) -> bool:
-        if inv[i] != inv[img]:
-            return False
-        # order relations against already-assigned points must match
-        for j in range(n):
-            if image[j] < 0 or j == i:
-                continue
-            if (j in below[i]) != (image[j] in below[img]):
-                return False
-            if (j in above[i]) != (image[j] in above[img]):
-                return False
-        return True
-
-    def dfs(i: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            return
-        for img in range(n):
-            if used[img] or not consistent(i, img):
-                continue
-            image[i] = img
-            used[img] = True
-            dfs(i + 1)
-            image[i] = -1
-            used[img] = False
-
-    dfs(0)
-    return PermGroup(found, n)
+    group, _ = block_automorphisms(n, pairs, [0] * len(pairs), sizes)
+    return group

@@ -256,59 +256,27 @@ def mat_rank(F: FField, rows) -> int:
 
 
 def mat_inv(F: FField, M):
-    """Inverse of a square matrix, or None if singular."""
+    """Inverse of a square matrix, or None if singular: the reduced echelon
+    form of [M | I] is [I | M^-1] exactly when M is invertible."""
     n = len(M)
-    aug = [list(M[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F.inv(aug[r][c])
-        aug[r] = [F.mul(inv, x) for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(tuple(row[n:]) for row in aug)
+    ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    rows = echelon(F, [tuple(M[i]) + ident[i] for i in range(n)])
+    if any(row[:n] != e for row, e in zip(rows, ident)):
+        return None
+    return tuple(row[n:] for row in rows)
 
 
 def solve(F: FField, M, b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """One solution x of M x = b, or None. M is given as rows."""
-    n_rows = len(M)
+    """One solution x of M x = b, or None. M is given as rows.  Read off the
+    reduced echelon form of [M | b]: there is no solution iff a row has its
+    pivot in the last column; otherwise the free unknowns are 0."""
     n_cols = len(M[0])
-    aug = [list(M[i]) + [b[i]] for i in range(n_rows)]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if aug[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = F.inv(aug[r][c])
-        aug[r] = [F.mul(inv, x) for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if aug[i][n_cols] != 0:
-            return None
     x = [0] * n_cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n_cols]
+    for row in echelon(F, [tuple(M[i]) + (b[i],) for i in range(len(M))]):
+        pivot = next(c for c, v in enumerate(row) if v != 0)
+        if pivot == n_cols:
+            return None
+        x[pivot] = row[n_cols]
     return tuple(x)
 
 
@@ -349,17 +317,20 @@ def span_dim(F: FField, vectors) -> int:
     return mat_rank(F, list(vectors))
 
 
+def span_points(F: FField, basis) -> list[tuple[int, ...]]:
+    """The rational points of the projective span of the basis vectors, sorted."""
+    pts = set()
+    for coeffs in product(F.elements(), repeat=len(basis)):
+        if not any(coeffs):
+            continue
+        vec = [0] * len(basis[0])
+        for c, b in zip(coeffs, basis):
+            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+        pts.add(normalize_point(F, tuple(vec)))
+    return sorted(pts)
+
+
 def in_span(F: FField, v: tuple[int, ...], basis) -> bool:
     if not basis:
         return all(c == 0 for c in v)
     return mat_rank(F, list(basis)) == mat_rank(F, list(basis) + [v])
-
-
-def frobenius_orbit(F: FField, v: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Orbit of a projective point under coordinatewise Frobenius x -> x^p."""
-    seen = []
-    cur = normalize_point(F, v)
-    while cur not in seen:
-        seen.append(cur)
-        cur = normalize_point(F, tuple(F.frobenius(c) for c in cur))
-    return seen

@@ -9,7 +9,8 @@ vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+
+from .permgroup import block_automorphisms
 
 
 @dataclass(frozen=True)
@@ -323,10 +324,6 @@ class LooseMorphism:
         return LooseMorphism(other.source, self.target, vmap, emap)
 
 
-def validate_morphism(morphism: LooseMorphism) -> None:
-    morphism.validate()
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
@@ -342,22 +339,13 @@ def graph_aut_group_perms(g: LooseGraph, colors=None) -> list[dict[str, str]]:
     """All loose-graph automorphisms, as vertex maps.
 
     `colors` is an optional extra vertex coloring that automorphisms must
-    preserve (used for decorated inner trees).  Brute force over vertex
-    permutations compatible with the degree/decoration keys; graphs here are
-    tiny so this is plenty.
+    preserve (used for decorated inner trees).  The search is
+    `permgroup.block_automorphisms` with the edges that have two endpoints
+    as blocks and the degree/decoration keys as seed colours.
     """
     verts = list(g.vertices)
-    keys = {v: _vertex_key(g, v, colors) for v in verts}
-    loose_at = {v: sum(1 for e, (a, b) in g.edges.items() if (a == v and b is None) or (b == v and a is None)) for v in verts}
-    adj = {v: set(g.neighbours(v)) for v in verts}
-    out = []
-    for perm in permutations(verts):
-        sigma = dict(zip(verts, perm))
-        if any(keys[v] != keys[sigma[v]] for v in verts):
-            continue
-        if any(loose_at[v] != loose_at[sigma[v]] for v in verts):
-            continue
-        ok = all({sigma[w] for w in adj[v]} == adj[sigma[v]] for v in verts)
-        if ok:
-            out.append(sigma)
-    return out
+    index = {v: i for i, v in enumerate(verts)}
+    blocks = [(index[a], index[b]) for a, b in g.edges.values() if a is not None and b is not None]
+    keys = [_vertex_key(g, v, colors) for v in verts]
+    group, _ = block_automorphisms(len(verts), blocks, [0] * len(blocks), keys)
+    return [dict(zip(verts, (verts[i] for i in p))) for p in group.elements()]

@@ -6,6 +6,10 @@ generators and Schreier generators that do not sift to the identity join the
 chain, so its levels hold a strong generating set, however many redundant
 generators the group was given.  Orders here stay small (at most a few
 hundred thousand), so no randomization is needed.
+
+`block_automorphisms` is the one automorphism search: it finds generators
+of the group of a coloured block structure, the form in which point-line
+geometries, loose graphs and specialization posets are all given to it.
 """
 
 from __future__ import annotations
@@ -277,3 +281,166 @@ def verify_central_product(group: PermGroup, factors) -> dict:
         "intersection_orders": inter,
         "ok": commute and generates,
     }
+
+
+# -- automorphisms of coloured block structures ------------------------------
+
+
+def _refine_colors(n: int, incident: list, kinds: list, blocks: list, colors: list):
+    """Iterated incidence colouring: seeded with each point's colour and the
+    multiset of (kind, size) of its blocks, then refined by the multiset of
+    (kind, colours of the points) of its blocks until it is stable."""
+    seed: dict = {}
+    colors = [
+        seed.setdefault(
+            (colors[i], tuple(sorted((kinds[k], len(blocks[k])) for k in incident[i]))),
+            len(seed),
+        )
+        for i in range(n)
+    ]
+    while True:
+        table: dict = {}
+        new = [0] * n
+        for i in range(n):
+            sig = tuple(
+                sorted(
+                    (kinds[k], tuple(sorted(colors[j] for j in blocks[k])))
+                    for k in incident[i]
+                )
+            )
+            new[i] = table.setdefault((colors[i], sig), len(table))
+        if new == colors:
+            return colors
+        colors = new
+
+
+def block_automorphisms(n: int, blocks, kinds, colors) -> tuple[PermGroup, int]:
+    """The permutations of range(n) that preserve the seed colouring
+    `colors` (any hashable values), the blocks (lists of points) and each
+    block's kind and size, found from generators.  Two points may lie on at
+    most one block.  Returns the group and the number of search nodes (point
+    images the backtrack accepted).
+
+    The points are assigned images in a fixed order (by the size of their
+    class under the iterated incidence colouring, then by index), which is
+    also the base of the resulting stabilizer chain.  Blocks propagate the
+    images: once a block has one mapped point, mapping a second point of it
+    fixes its image block, which must be unused and of the same kind and
+    size, and every later point of the block must go to a point of that
+    image block.  A pair of points on no common block must map to such a
+    pair.
+
+    The first path tries the identity image first and ends in the identity.
+    Backtracking along it, at the level of base point b an image t is
+    skipped if it lies in the orbit of b under the generators found so far
+    (all of which fix the earlier base points); otherwise the search below
+    it stops at its first leaf, which becomes a generator.  The generators
+    found therefore form a strong generating set relative to the base.
+    """
+    block_pts = [sorted(b) for b in blocks]
+    block_sets = [set(pts) for pts in block_pts]
+    block_type = [(kind, len(pts)) for kind, pts in zip(kinds, block_pts)]
+    incident = [[] for _ in range(n)]
+    through: dict = {}
+    for k, pts in enumerate(block_pts):
+        for a in pts:
+            incident[a].append(k)
+            for b in pts:
+                if a != b:
+                    if (a, b) in through:
+                        raise ValueError(f"points {a} and {b} lie on two blocks")
+                    through[(a, b)] = k
+    colors = _refine_colors(n, incident, kinds, block_pts, colors)
+    by_color: dict = {}
+    for i, c in enumerate(colors):
+        by_color.setdefault(c, []).append(i)
+    order = sorted(range(n), key=lambda i: (len(by_color[colors[i]]), i))
+    apart = [
+        [j for j in order[:step] if (i, j) not in through]
+        for step, i in enumerate(order)
+    ]
+
+    image = [-1] * n
+    used = [False] * n
+    block_img = [-1] * len(block_pts)
+    block_used = [False] * len(block_pts)
+    orbit_of = list(range(n))  # union-find over the orbits of the generators
+    gens: list = []
+    nodes = 0
+
+    def root(x: int) -> int:
+        while orbit_of[x] != x:
+            orbit_of[x] = orbit_of[orbit_of[x]]
+            x = orbit_of[x]
+        return x
+
+    def candidates(i: int) -> list:
+        fixed = [block_img[k] for k in incident[i] if block_img[k] >= 0]
+        if not fixed:
+            return [t for t in by_color[colors[i]] if not used[t]]
+        return [
+            t for t in block_pts[fixed[0]]
+            if not used[t] and colors[t] == colors[i]
+            and all(t in block_sets[L] for L in fixed[1:])
+        ]
+
+    def unfix(fixed: list) -> None:
+        for k in fixed:
+            block_used[block_img[k]] = False
+            block_img[k] = -1
+
+    def assign(step: int, i: int, t: int):
+        """Map i to t and fix the image blocks this determines; returns those
+        blocks, or None (with nothing changed) if a block or pair breaks."""
+        if any((t, image[j]) in through for j in apart[step]):
+            return None
+        fixed = []
+        for k in incident[i]:
+            if block_img[k] >= 0:
+                continue
+            a = next((p for p in block_pts[k] if image[p] >= 0), None)
+            if a is None:
+                continue
+            L = through.get((t, image[a]))
+            if L is None or block_used[L] or block_type[L] != block_type[k]:
+                unfix(fixed)
+                return None
+            block_img[k] = L
+            block_used[L] = True
+            fixed.append(k)
+        image[i] = t
+        used[t] = True
+        return fixed
+
+    def descend(step: int, first: bool) -> bool:
+        """Search below the current partial map; off the first path, stop at
+        the first leaf and report whether one was found."""
+        nonlocal nodes
+        if step == n:
+            if not first:
+                gens.append(tuple(image))
+                for x, y in enumerate(image):
+                    orbit_of[root(x)] = root(y)
+            return True
+        i = order[step]
+        cands = candidates(i)
+        if first:
+            cands.sort(key=lambda t: t != i)
+        for t in cands:
+            stay = first and t == i
+            if first and not stay and root(t) == root(i):
+                continue
+            fixed = assign(step, i, t)
+            if fixed is None:
+                continue
+            nodes += 1
+            found = descend(step + 1, stay)
+            image[i] = -1
+            used[t] = False
+            unfix(fixed)
+            if found and not first:
+                return True
+        return False
+
+    descend(0, True)
+    return PermGroup(gens, n, base_hint=order), nodes

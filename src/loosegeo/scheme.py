@@ -219,9 +219,6 @@ class SchemeModel:
             return full
         return full[:rmax]
 
-    def subspace_dim(self, rows) -> int:
-        return len(gfq.echelon(self.F, rows)) if rows else 0
-
 
 def build_scheme(graph: LooseGraph, q: int) -> SchemeModel:
     return SchemeModel(graph, q)
@@ -383,21 +380,6 @@ def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
         projective[d].sort()
     affine.sort(key=lambda a: (a.dim, a.basis))
     return projective, affine
-
-
-def clique_number(graph: LooseGraph) -> int:
-    """Largest n with a complete subgraph on n real vertices (edges need both ends)."""
-    verts = graph.vertices
-    adj = {v: set(graph.neighbours(v)) for v in verts}
-    best = 1 if verts else 0
-    for size in range(2, len(verts) + 1):
-        for combo in combinations(verts, size):
-            if all(b in adj[a] for a, b in combinations(combo, 2)):
-                best = size
-                break
-        else:
-            break
-    return best
 
 
 def double_rank(scheme: SchemeModel, dmax: int | None = None) -> tuple[int, int]:

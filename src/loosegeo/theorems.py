@@ -381,10 +381,14 @@ def _check_ddc(ctx: Context) -> TheoremReport:
     return TheoremReport("ddc", ctx.name, q, "pass" if ok else "fail", quantities)
 
 
-def _check_toy_equal(ctx: Context) -> TheoremReport:
+def _check_groups_equal(ctx: Context, theorem: str) -> TheoremReport:
+    """toy-equal and autcomb-eq: the projective and combinatorial groups
+    coincide on points; autcomb-eq needs two inner vertices."""
+    if theorem == "autcomb-eq" and len(ctx.inner) < 2:
+        return _skip(theorem, ctx, "needs at least two inner vertices")
     same = ctx.proj.perm_group.same_group(ctx.comb.perm_group)
     q = {"proj_order": ctx.proj.order, "comb_order": ctx.comb.order}
-    return TheoremReport("toy-equal", ctx.name, ctx.q, "pass" if same else "fail", q)
+    return TheoremReport(theorem, ctx.name, ctx.q, "pass" if same else "fail", q)
 
 
 def _perm_subgroup(ctx: Context, elements) -> PermGroup:
@@ -466,18 +470,20 @@ def _check_cenprod(ctx: Context) -> TheoremReport:
 
 
 def _induced_inner_perms(ctx: Context, linear_only: bool = False):
-    """Induced permutations on the inner basis points, or None with a witness
-    if some element moves an inner basis point off the basis."""
+    """Induced permutations on the inner basis points, each with the number
+    of elements inducing it, or None with a witness if some element moves an
+    inner basis point off the basis."""
     idxs = ctx.inner_indices
     pos = {p: i for i, p in enumerate(idxs)}
-    induced = set()
+    induced: dict = {}
     for g, perm in zip(ctx.proj.elements, ctx.proj.perms):
         if linear_only and g.frob % ctx.scheme.F.e != 0:
             continue
         images = [perm[i] for i in idxs]
         if any(i not in pos for i in images):
             return None, (g, images)
-        induced.add(tuple(pos[i] for i in images))
+        key = tuple(pos[i] for i in images)
+        induced[key] = induced.get(key, 0) + 1
     return induced, None
 
 
@@ -528,24 +534,11 @@ def _check_mttrees(ctx: Context) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("mttrees", ctx, "needs at least two inner vertices")
     e = ctx.scheme.F.e
-    idxs = ctx.inner_indices
-    n_fix = 0
-    induced_lin = set()
-    bad = None
-    pos = {p: i for i, p in enumerate(idxs)}
-    for g, perm in zip(ctx.proj.elements, ctx.proj.perms):
-        if g.frob % e != 0:
-            continue
-        images = [perm[i] for i in idxs]
-        if any(i not in pos for i in images):
-            bad = (g, images)
-            break
-        if all(perm[i] == i for i in idxs):
-            n_fix += 1
-        induced_lin.add(tuple(pos[i] for i in images))
-    if bad is not None:
+    induced_lin, bad = _induced_inner_perms(ctx, linear_only=True)
+    if induced_lin is None:
         return TheoremReport("mttrees", ctx.name, ctx.q, "fail", {}, [bad],
                              "an element moves an inner basis point off the basis")
+    n_fix = induced_lin.get(tuple(range(len(ctx.inner))), 0)
     total = n_fix * len(induced_lin) * e
     quantities = {
         "central_product_order": n_fix,
@@ -556,14 +549,6 @@ def _check_mttrees(ctx: Context) -> TheoremReport:
     }
     ok = total == ctx.proj.order
     return TheoremReport("mttrees", ctx.name, ctx.q, "pass" if ok else "fail", quantities)
-
-
-def _check_autcomb_eq(ctx: Context) -> TheoremReport:
-    if len(ctx.inner) < 2:
-        return _skip("autcomb-eq", ctx, "needs at least two inner vertices")
-    same = ctx.proj.perm_group.same_group(ctx.comb.perm_group)
-    q = {"proj_order": ctx.proj.order, "comb_order": ctx.comb.order}
-    return TheoremReport("autcomb-eq", ctx.name, ctx.q, "pass" if same else "fail", q)
 
 
 # -- geometry checks -------------------------------------------------------------
@@ -579,27 +564,15 @@ def _subspace_point_sets(scheme: SchemeModel):
         for basis in bases:
             pts = frozenset(
                 scheme.point_index[p]
-                for p in _span_rational_points(F, basis)
+                for p in gfq.span_points(F, basis)
             )
             sets[pts] = ("projective", dim)
     for patch in affine:
-        span_pts = set(_span_rational_points(F, patch.basis))
-        hyp_pts = set(_span_rational_points(F, patch.hyperplane))
+        span_pts = set(gfq.span_points(F, patch.basis))
+        hyp_pts = set(gfq.span_points(F, patch.hyperplane))
         pts = frozenset(scheme.point_index[p] for p in span_pts - hyp_pts)
         sets[pts] = ("affine", patch.dim)
     return sets
-
-
-def _span_rational_points(F, basis):
-    pts = set()
-    for coeffs in product(F.elements(), repeat=len(basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        vec = [0] * len(basis[0])
-        for c, b in zip(coeffs, basis):
-            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        pts.add(gfq.normalize_point(F, tuple(vec)))
-    return pts
 
 
 def _check_obs_subspaces(ctx: Context) -> TheoremReport:
@@ -796,14 +769,12 @@ def verify(theorem: str, graph: LooseGraph | None, q: int | None = None,
     ctx = context if context is not None else Context(graph, q, name)
     handlers = {
         "ddc": _check_ddc,
-        "toy-equal": _check_toy_equal,
         "thmcp": _check_thmcp,
         "kernel-trivial": _check_kernel_trivial,
         "cenprod": _check_cenprod,
         "inner-tree": _check_inner_tree,
         "lemfield-quotient": _check_lemfield,
         "mttrees": _check_mttrees,
-        "autcomb-eq": _check_autcomb_eq,
         "obs-subspaces": _check_obs_subspaces,
         "convexity": _check_convexity,
         "span-lemma": _check_span_lemma,
@@ -811,6 +782,8 @@ def verify(theorem: str, graph: LooseGraph | None, q: int | None = None,
     }
     if theorem == "igp":
         return _check_igp(ctx, options)
+    if theorem in ("toy-equal", "autcomb-eq"):
+        return _check_groups_equal(ctx, theorem)
     return handlers[theorem](ctx)
 
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from loosegeo import autsearch
+from loosegeo import autsearch, permgroup
 from loosegeo.scheme import build_scheme, classify_lines
 from conftest import CORPUS, corpus_graph
 from test_formats import loose_graphs
@@ -94,7 +94,7 @@ def listed_comb_perms(scheme):
     for k, pts in enumerate(line_pts):
         for i in pts:
             incident[i].append(k)
-    colors = autsearch._refine_colors(n, incident, line_kind, line_pts)
+    colors = permgroup._refine_colors(n, incident, line_kind, line_pts, [0] * n)
     pair_sig: dict = {}
     for k, pts in enumerate(line_pts):
         for a_i, a in enumerate(pts):

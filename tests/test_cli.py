@@ -93,6 +93,17 @@ def test_bad_input_exits_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command", ["matrix", "kernel"])
+def test_bad_morphism_exits_two(tmp_path, capsys, command):
+    bad = tmp_path / "bad.lgm"
+    bad.write_text("nonsense\n")
+    for path in (tmp_path / "missing.lgm", bad):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, command, path)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_check_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         run(capsys, "verify", "fermat", CORPUS / "toy.lg")

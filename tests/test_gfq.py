@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -85,3 +87,37 @@ def test_solve_consistent_and_inconsistent():
     assert x is not None and gfq.mat_vec(F, M, x) == (1, 1)
     singular = ((1, 1), (1, 1))
     assert gfq.solve(F, singular, (1, 0)) is None
+
+
+@st.composite
+def small_systems(draw, square=False):
+    """(F, M, b) over q in {2, 3} with at most three rows and columns."""
+    q = draw(st.sampled_from([2, 3]))
+    rows = draw(st.integers(1, 3))
+    cols = rows if square else draw(st.integers(1, 3))
+    entry = st.integers(0, q - 1)
+    M = tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+    b = tuple(draw(entry) for _ in range(rows))
+    return gfq.get_field(q), M, b
+
+
+@given(small_systems(square=True))
+def test_mat_inv_matches_brute_force(system):
+    F, M, _ = system
+    n = len(M)
+    kernel = [x for x in product(range(F.q), repeat=n) if any(x) and not any(gfq.mat_vec(F, M, x))]
+    Minv = gfq.mat_inv(F, M)
+    assert (Minv is None) == bool(kernel)
+    if Minv is not None:
+        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        assert gfq.mat_mul(F, M, Minv) == ident
+
+
+@given(small_systems())
+def test_solve_matches_brute_force(system):
+    F, M, b = system
+    exists = any(gfq.mat_vec(F, M, x) == b for x in product(range(F.q), repeat=len(M[0])))
+    x = gfq.solve(F, M, b)
+    assert (x is not None) == exists
+    if x is not None:
+        assert gfq.mat_vec(F, M, x) == b

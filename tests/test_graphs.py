@@ -1,7 +1,11 @@
-import pytest
+from itertools import permutations
 
-from loosegeo.graphs import LooseGraph, LooseMorphism, fresh_name, graph_aut_group_perms
-from conftest import corpus_graph
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from loosegeo.graphs import LooseGraph, LooseMorphism, _vertex_key, fresh_name, graph_aut_group_perms
+from conftest import CORPUS, corpus_graph
+from test_formats import loose_graphs
 
 
 def toy():
@@ -121,3 +125,47 @@ def test_graph_aut_group_plain_and_colored():
     assert len(colored) == 1
     spider_inner = corpus_graph("spider").induced_inner_subgraph()
     assert len(graph_aut_group_perms(spider_inner)) == 2
+
+
+def listed_graph_auts(g, colors=None):
+    """Every loose-graph automorphism, by trying every vertex permutation:
+    the reference for `graph_aut_group_perms`."""
+    verts = list(g.vertices)
+    keys = {v: _vertex_key(g, v, colors) for v in verts}
+    loose_at = {
+        v: sum(1 for a, b in g.edges.values() if (a == v and b is None) or (b == v and a is None))
+        for v in verts
+    }
+    adj = {v: set(g.neighbours(v)) for v in verts}
+    out = []
+    for perm in permutations(verts):
+        sigma = dict(zip(verts, perm))
+        if any(keys[v] != keys[sigma[v]] or loose_at[v] != loose_at[sigma[v]] for v in verts):
+            continue
+        if all({sigma[w] for w in adj[v]} == adj[sigma[v]] for v in verts):
+            out.append(sigma)
+    return out
+
+
+def assert_graph_auts_match_listing(g, colors=None):
+    found = graph_aut_group_perms(g, colors)
+    as_items = [tuple(sorted(a.items())) for a in found]
+    assert len(as_items) == len(set(as_items))
+    assert set(as_items) == {tuple(sorted(a.items())) for a in listed_graph_auts(g, colors)}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.lg")))
+def test_graph_auts_match_listing_on_corpus(name):
+    g = corpus_graph(name)
+    for h in (g, g.induced_inner_subgraph()):
+        assert_graph_auts_match_listing(h)
+        decoration = {v: g.decoration(v).as_tuple() for v in h.vertices}
+        assert_graph_auts_match_listing(h, decoration)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loose_graphs(), st.data())
+def test_graph_auts_match_listing_on_random_graphs(g, data):
+    assert_graph_auts_match_listing(g)
+    colors = {v: data.draw(st.integers(0, 1)) for v in g.vertices}
+    assert_graph_auts_match_listing(g, colors)

@@ -1,9 +1,12 @@
+from collections import Counter
 from itertools import permutations
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from loosegeo.permgroup import (
     PermGroup,
+    block_automorphisms,
     compose,
     intersection_order,
     inverse,
@@ -128,3 +131,53 @@ def test_pointwise_stabilizer_matches_closure(data):
     g = PermGroup(gens, n)
     fixing = [p for p in closure(gens, n) if all(p[x] == x for x in pts)]
     assert pointwise_stabilizer(g, pts).order() == len(fixing)
+
+
+@st.composite
+def block_structures(draw):
+    """(n, blocks, kinds, colors) with n <= 6 points, two points on at most
+    one block, kinds and seed colours in {0, 1}."""
+    n = draw(st.integers(0, 6))
+    blocks = []
+    if n:
+        for pts in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=4), max_size=8)):
+            if all(len(pts & set(b)) <= 1 for b in blocks):
+                blocks.append(sorted(pts))
+    kinds = [draw(st.integers(0, 1)) for _ in blocks]
+    colors = [draw(st.integers(0, 1)) for _ in range(n)]
+    return n, blocks, kinds, colors
+
+
+def listed_block_auts(n, blocks, kinds, colors):
+    """Every permutation preserving the colours and the kinded blocks, by
+    trying all n! permutations: the reference for `block_automorphisms`."""
+    typed = Counter((frozenset(b), k) for b, k in zip(blocks, kinds))
+    return {
+        p for p in permutations(range(n))
+        if all(colors[p[i]] == colors[i] for i in range(n))
+        and Counter((frozenset(p[i] for i in b), k) for b, k in typed.elements()) == typed
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_structures())
+def test_block_automorphisms_match_listing(structure):
+    group, nodes = block_automorphisms(*structure)
+    elements = group.elements()
+    assert len(elements) == len(set(elements))
+    assert set(elements) == listed_block_auts(*structure)
+    assert nodes >= 0
+
+
+def test_block_kinds_separate_rows_from_columns():
+    # the 3 x 3 grid: its transpose swaps rows and columns
+    rows = [[3 * r + c for c in range(3)] for r in range(3)]
+    cols = [[3 * r + c for r in range(3)] for c in range(3)]
+    same, _ = block_automorphisms(9, rows + cols, [0] * 6, [0] * 9)
+    kinded, _ = block_automorphisms(9, rows + cols, ["row"] * 3 + ["col"] * 3, [0] * 9)
+    assert same.order() == 72 and kinded.order() == 36
+
+
+def test_block_automorphisms_reject_pair_on_two_blocks():
+    with pytest.raises(ValueError):
+        block_automorphisms(3, [[0, 1], [0, 1, 2]], [0, 0], [0, 0, 0])
