@@ -10,9 +10,12 @@ Two automorphism groups are attached to a point set X in PG(m-1, q):
   points are the rational points of X and whose lines are the projective and
   complete-affine lines of X, preserved kind by kind.
 
-Field automorphisms act coordinatewise and preserve supports, so every power
-of Frobenius stabilizes X; the semilinear stabilizer is therefore the linear
-one extended by the full Frobenius cycle, and only linear parts are searched.
+Both come from the one search `permgroup.block_automorphisms` over the
+classified lines.  A stabilizing collineation preserves the lines and their
+kinds, so on the points the projective group is the subgroup of the
+combinatorial group whose elements lift to a stabilizing collineation; the
+lift is linear algebra over GF(q), one small null space per Frobenius power,
+and it is the search's leaf test.  No search runs over PG(m-1, q).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import gfq
-from .permgroup import PermGroup, block_automorphisms
+from .permgroup import PermGroup, block_automorphisms, compose, identity_perm
 from .scheme import SchemeModel, classify_lines, line_rational_points
 
 
@@ -97,40 +100,26 @@ def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
     )
 
 
-def _stabilizer_point_map(scheme: SchemeModel, M):
-    """The permutation of the rational points induced by a linear
-    collineation M if M stabilizes X, else None.
+def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
+    """Exact scheme-stabilizer test for a linear collineation.
 
     X is the union of its pieces, so M stabilizes X iff the image of every
     piece under M and under M^{-1} is contained in X over all extensions.
-    Mapping the rational points into X is checked first as a fast filter,
-    and its point indices are the permutation; a point sent to zero shows
-    that M is singular.
+    Mapping the rational points into X is checked first as a fast filter; a
+    point sent to zero shows that M is singular.
     """
     F = scheme.F
-    perm = []
     for p in scheme.points:
         img = gfq.mat_vec(F, M, p)
-        i = scheme.point_index.get(gfq.normalize_point(F, img)) if any(img) else None
-        if i is None:
-            return None
-        perm.append(i)
+        if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
+            return False
     Minv = gfq.mat_inv(F, M)
-    if Minv is None:
-        return None
-    for mat in (M, Minv):
-        for piece in scheme.pieces:
-            if not _piece_contained(scheme, mat, piece):
-                return None
-    return tuple(perm)
+    return Minv is not None and all(
+        _piece_contained(scheme, mat, piece) for mat in (M, Minv) for piece in scheme.pieces
+    )
 
 
-def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
-    """Exact scheme-stabilizer test for a linear collineation."""
-    return _stabilizer_point_map(scheme, M) is not None
-
-
-# -- projective stabilizer search -------------------------------------------
+# -- projective stabilizer ----------------------------------------------------
 
 
 @dataclass
@@ -170,126 +159,131 @@ class ProjAut:
         return out
 
 
-def _frame_search(scheme: SchemeModel) -> dict:
-    """All linear stabilizers via images of the coordinate frame.
+def _restrict(F: gfq.FField, basis: list, pairs) -> list:
+    """A basis of the matrices M in the span of `basis` with M u parallel to
+    y (or zero) for every pair (u, y) of vectors, y normalized.
 
-    A linear collineation is determined by the images of the basis points
-    and the unit point.  Candidate images are pruned by comparing scheme
-    profiles of spans: profiles are collineation invariants, so the span of
-    any subset of chosen images must match the profile of the corresponding
-    coordinate span.
-
-    The search keeps one candidate list per level: the points of PG(m-1, q)
-    whose profile is that of basis point i, computed once.  Choosing the
-    image p of basis point i filters the list of every deeper level k to the
-    points x with profile(p, x) equal to the profile of the coordinate line
-    (i, k), so each pair profile is computed once per prefix and a branch
-    with an empty list is cut at once (forward checking).
-
-    The unit point fixes the scales of the chosen images, and these are
-    chosen one column at a time.  Once the scales of columns 0..c are fixed,
-    the image of every rational point whose last nonzero coordinate is c is
-    fixed too; a stabilizer maps X(F_q) onto itself, so a scale sending such
-    a point outside X is dropped.  `_stabilizer_point_map` decides every
-    complete matrix; the result maps each canonical matrix to its point
-    permutation.
+    The conditions are linear in M: with p the pivot of y (y_p = 1),
+    (M u)_b - y_b (M u)_p = 0 for each b != p.  They are solved for the
+    coefficients of M in the current basis, so each pair costs a system
+    with as many unknowns as the basis has matrices.
     """
-    F, m = scheme.F, scheme.m
-    basis = [_basis_vec(m, i) for i in range(m)]
-    pair_ref = {
-        (i, j): scheme.profile((basis[i], basis[j]))
-        for i in range(m)
-        for j in range(i + 1, m)
-    }
-    prefix_ref = [scheme.profile(tuple(basis[: k + 1])) for k in range(m)]
-    by_profile: dict = {}
-    for p in gfq.projective_points(F, m):
-        by_profile.setdefault(scheme.profile((p,)), []).append(p)
-    level_cands = [by_profile.get(scheme.profile((basis[i],)), []) for i in range(m)]
-    by_last = [[] for _ in range(m)]
-    for p in scheme.points:
-        by_last[max(c for c in range(m) if p[c])].append(p)
-    units = [c for c in F.elements() if c != 0]
-    found: dict = {}
-    chosen: list = []
-    cols: list = []
+    m = len(basis[0])
+    for u, y in pairs:
+        if not basis:
+            break
+        images = [gfq.mat_vec(F, B, u) for B in basis]
+        p = next(c for c, v in enumerate(y) if v)
+        rows = [
+            [F.sub(w[b], F.mul(y[b], w[p])) for w in images]
+            for b in range(m) if b != p
+        ]
+        coeffs = gfq.null_space(F, rows, len(basis))
+        if len(coeffs) < len(basis):
+            basis = [_combine(F, lam, basis) for lam in coeffs]
+    return basis
 
-    def scale_from(c: int) -> None:
-        if c == m:
-            M = tuple(zip(*cols))
-            perm = _stabilizer_point_map(scheme, M)
-            if perm is not None:
-                found[canonical_matrix(F, M)] = perm
-            return
-        for lam in units if c else (1,):
-            cols.append(gfq.vec_scale(F, lam, chosen[c]))
-            partial = tuple(zip(*cols))
-            if all(
-                gfq.normalize_point(F, gfq.mat_vec(F, partial, p)) in scheme.point_index
-                for p in by_last[c]
-            ):
-                scale_from(c + 1)
-            cols.pop()
 
-    def descend(i: int, cands: list) -> None:
-        if i == m:
-            scale_from(0)
-            return
-        for p in cands[i]:
-            rows = gfq.echelon(F, chosen + [p])
-            if len(rows) != i + 1 or scheme.profile(rows) != prefix_ref[i]:
+def _combine(F: gfq.FField, lam, basis):
+    m = len(basis[0])
+    out = [[0] * m for _ in range(m)]
+    for c, B in zip(lam, basis):
+        if c:
+            for a in range(m):
+                out[a] = [F.add(x, F.mul(c, y)) for x, y in zip(out[a], B[a])]
+    return tuple(tuple(row) for row in out)
+
+
+class _Lifter:
+    """Lifts of point permutations to collineations stabilizing X.
+
+    A lift of the permutation pi is a pair (M, t) with M . Frob^t(x_i)
+    parallel to x_pi(i) for every rational point x_i; those M form a linear
+    space.  For pi = identity and t = 0 it contains the scalars, and its
+    dimension `dim` is reached already on the `determining` points, chosen
+    greedily.  Whenever pi has a lift (M0, t), its space is M0 times the
+    Frobenius twist of the identity's, so it has dimension `dim` on the
+    determining points as on all of them: a solution there of another
+    dimension rules pi out at once, and otherwise each of its elements is
+    checked on every point.
+    """
+
+    def __init__(self, scheme: SchemeModel):
+        F, m = scheme.F, scheme.m
+        self.scheme = scheme
+        zero = (0,) * m
+        self.units = [
+            tuple(_basis_vec(m, c) if r == a else zero for r in range(m))
+            for a in range(m) for c in range(m)
+        ]
+        self.frob_points = [[frobenius_vec(F, p, t) for p in scheme.points] for t in range(F.e)]
+        basis = self.units
+        self.determining = []
+        for i, p in enumerate(scheme.points):
+            smaller = _restrict(F, basis, [(p, p)])
+            if len(smaller) < len(basis):
+                self.determining.append(i)
+                basis = smaller
+        self.dim = len(basis)
+        self._first: dict = {}
+
+    def lifts(self, perm):
+        """Every stabilizing lift (M, t) of the permutation, M up to scalars."""
+        F, pts = self.scheme.F, self.scheme.points
+        for t, src in enumerate(self.frob_points):
+            basis = _restrict(F, self.units, [(src[i], pts[perm[i]]) for i in self.determining])
+            if len(basis) != self.dim:
                 continue
-            with_p: dict = {}
-            deeper = cands[: i + 1]
-            for k in range(i + 1, m):
-                keep = []
-                for x in cands[k]:
-                    prof = with_p.get(x)
-                    if prof is None:
-                        prof = with_p[x] = scheme.profile((p, x))
-                    if prof == pair_ref[(i, k)]:
-                        keep.append(x)
-                if not keep:
-                    break
-                deeper.append(keep)
-            else:
-                chosen.append(p)
-                descend(i + 1, deeper)
-                chosen.pop()
+            for lam in gfq.projective_points(F, len(basis)):
+                M = _combine(F, lam, basis)
+                images = (gfq.mat_vec(F, M, u) for u in src)
+                if all(
+                    any(img) and gfq.normalize_point(F, img) == pts[j]
+                    for img, j in zip(images, perm)
+                ) and collineation_stabilizes(self.scheme, M):
+                    yield Collineation(canonical_matrix(F, M), t)
 
-    descend(0, level_cands)
-    return found
+    def lift(self, perm) -> Collineation | None:
+        """One stabilizing lift of the permutation, or None."""
+        if perm not in self._first:
+            self._first[perm] = next(self.lifts(perm), None)
+        return self._first[perm]
+
+
+def _compose_collineations(F: gfq.FField, g: Collineation, h: Collineation) -> Collineation:
+    """g after h: (M, t)(N, s) = (M . Frob^t(N), t + s)."""
+    N = tuple(frobenius_vec(F, row, g.frob) for row in h.matrix)
+    return Collineation(canonical_matrix(F, gfq.mat_mul(F, g.matrix, N)), (g.frob + h.frob) % F.e)
 
 
 def proj_aut_group(scheme: SchemeModel) -> ProjAut:
     """The semilinear stabilizer, each element with its point permutation.
 
-    The permutation of x -> M . Frob^t(x) is that of Frob^t followed by that
-    of M: Frobenius fixes the leading 1 of a normalized point, so it maps
-    normalized points to normalized points.
+    A stabilizing collineation keeps X's lines and their kinds, so on the
+    rational points the stabilizer is the subgroup of the combinatorial
+    group whose elements lift.  `block_automorphisms` finds it from
+    generators, with the classified lines as blocks and the lift as leaf
+    test.  Every element of that group is one product of coset
+    representatives along its chain; the product of their lifts is one lift
+    of it, and its lifts are exactly that one times the kernel, the
+    stabilizing lifts of the identity permutation.  Elements are listed by
+    matrix, then Frobenius power.
     """
-    F, m = scheme.F, scheme.m
-    found = _frame_search(scheme)
-    linear = sorted(found)
-    identity = tuple(_basis_vec(m, i) for i in range(m))
-
-    def point_perm(g: Collineation):
-        perm = collineation_point_perm(scheme, g)
-        if perm is None:
-            raise AssertionError("semilinear element left the point set")
-        return perm
-
-    frob_perms = [point_perm(Collineation(identity, t)) for t in range(F.e)]
-    elements = []
-    perms = []
-    for M in linear:
-        lin = found[M]
-        for t, frob in enumerate(frob_perms):
-            elements.append(Collineation(M, t))
-            perms.append(tuple(lin[i] for i in frob))
-    degree = len(scheme.points)
-    group = PermGroup(perms, degree)
-    return ProjAut(scheme, linear, F.e, elements, perms, group)
+    n = len(scheme.points)
+    lifter = _Lifter(scheme)
+    _, group, _ = _line_automorphisms(scheme, lambda perm: lifter.lift(perm) is not None)
+    products = [(identity_perm(n), k) for k in lifter.lifts(identity_perm(n))]
+    for reps in reversed(group.coset_representatives()):
+        lifted = [(u, lifter.lift(u)) for u in reps]
+        products = [
+            (compose(u, perm), _compose_collineations(scheme.F, g, h))
+            for u, g in lifted
+            for perm, h in products
+        ]
+    found = {g: perm for perm, g in products}
+    elements = sorted(found, key=lambda g: (g.matrix, g.frob))
+    linear = [g.matrix for g in elements if g.frob == 0]
+    return ProjAut(scheme, linear, scheme.F.e, elements, [found[g] for g in elements], group)
 
 
 def exhaustive_stabilizer(scheme: SchemeModel) -> list:
@@ -382,14 +376,21 @@ class CombAut:
         return len(self.perms)
 
 
-def comb_aut_group(scheme: SchemeModel) -> CombAut:
-    """The automorphisms of the point-line geometry preserving line kinds,
-    found from generators by `permgroup.block_automorphisms` with the
-    classified lines as blocks and one seed colour for every point."""
+def _line_automorphisms(scheme: SchemeModel, accept=None):
+    """`permgroup.block_automorphisms` with the classified lines as blocks,
+    their kinds kept, one seed colour for every point and the given leaf
+    test; returns the lines, the group and the search nodes."""
     lines = classify_lines(scheme)
     n = len(scheme.points)
     blocks = [[scheme.point_index[p] for p in L.points] for L in lines]
-    group, nodes = block_automorphisms(n, blocks, [L.kind for L in lines], [0] * n)
+    group, nodes = block_automorphisms(n, blocks, [L.kind for L in lines], [0] * n, accept)
+    return lines, group, nodes
+
+
+def comb_aut_group(scheme: SchemeModel) -> CombAut:
+    """The automorphisms of the point-line geometry preserving line kinds,
+    found from generators with no leaf test."""
+    lines, group, nodes = _line_automorphisms(scheme)
     return CombAut(scheme, lines, group.elements(), group, nodes)
 
 

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on bad input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -20,9 +21,17 @@ from .scheme import (
 )
 
 
+def _plain(obj):
+    """JSON form of a value that is not plain data: a dataclass, such as a
+    collineation witness, becomes its fields; anything else its string."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    return str(obj)
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, default=str)
+        json.dump(payload, sys.stdout, indent=2, default=_plain)
         sys.stdout.write("\n")
     else:
         for line in text_lines:

@@ -266,18 +266,21 @@ def mat_inv(F: FField, M):
     return tuple(row[n:] for row in rows)
 
 
-def solve(F: FField, M, b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """One solution x of M x = b, or None. M is given as rows.  Read off the
-    reduced echelon form of [M | b]: there is no solution iff a row has its
-    pivot in the last column; otherwise the free unknowns are 0."""
-    n_cols = len(M[0])
-    x = [0] * n_cols
-    for row in echelon(F, [tuple(M[i]) + (b[i],) for i in range(len(M))]):
-        pivot = next(c for c, v in enumerate(row) if v != 0)
-        if pivot == n_cols:
-            return None
-        x[pivot] = row[n_cols]
-    return tuple(x)
+def null_space(F: FField, rows, n_cols: int) -> list[tuple[int, ...]]:
+    """A basis of {x : M x = 0} for the matrix with the given rows and
+    n_cols columns, read off its reduced echelon form: one vector per free
+    column f, with x_f = 1 and each pivot unknown set to minus its row's
+    entry in column f."""
+    reduced = echelon(F, rows)
+    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    basis = []
+    for f in sorted(set(range(n_cols)) - set(pivots)):
+        x = [0] * n_cols
+        x[f] = 1
+        for row, c in zip(reduced, pivots):
+            x[c] = F.neg(row[f])
+        basis.append(tuple(x))
+    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -108,25 +108,3 @@ def kernel_f1(morphism: LooseMorphism, q: int = 2) -> dict:
         else:
             domain.append(p)
     return {"kernel": kernel, "domain": domain, "matrix": mat}
-
-
-def apply_morphism(morphism: LooseMorphism, q: int = 2) -> list[dict]:
-    """Evaluate the induced rational map on the rational points of the source.
-
-    Points in the kernel have no image; for the others we record the image
-    point and whether it lands in the target point set (the map is only
-    rational, so landing outside is reportable, not an error).
-    """
-    F = gfq.get_field(q)
-    mat = global_matrix(morphism)
-    source = SchemeModel(morphism.source, q)
-    target = SchemeModel(morphism.target, q)
-    out = []
-    for p in source.points:
-        img = gfq.mat_vec(F, mat, p)
-        if all(c == 0 for c in img):
-            out.append({"point": p, "image": None, "in_target": False})
-        else:
-            norm = gfq.normalize_point(F, img)
-            out.append({"point": p, "image": norm, "in_target": norm in target.point_index})
-    return out

@@ -9,7 +9,10 @@ hundred thousand), so no randomization is needed.
 
 `block_automorphisms` is the one automorphism search: it finds generators
 of the group of a coloured block structure, the form in which point-line
-geometries, loose graphs and specialization posets are all given to it.
+geometries, loose graphs and specialization posets are all given to it.  A
+leaf test narrows it to a subgroup: the projective group of a point set is
+the subgroup of its line geometry's group whose elements lift to
+collineations.
 """
 
 from __future__ import annotations
@@ -172,12 +175,16 @@ class PermGroup:
             return False
         return is_identity(self.sift(p))
 
+    def coset_representatives(self) -> list[list[tuple[int, ...]]]:
+        """The transversals of the chain, top level first: every element is
+        u_0 u_1 ... u_k for exactly one choice of u_j from the j-th list."""
+        return [list(level.transversal.values()) for level in self._chain()]
+
     def elements(self):
         """All elements; only call when the order is known to be small."""
-        chain = self._chain()
         out = [identity_perm(self.degree)]
-        for level in reversed(chain):
-            out = [compose(u, g) for u in level.transversal.values() for g in out]
+        for reps in reversed(self.coset_representatives()):
+            out = [compose(u, g) for u in reps for g in out]
         return out
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
@@ -210,39 +217,6 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     chain = PermGroup(group.generators, group.degree, base_hint=points)._chain()
     k = len(points)
     return PermGroup(chain[k].gens if k < len(chain) else [], group.degree)
-
-
-def setwise_stabilizer(group: PermGroup, points) -> PermGroup:
-    """Subgroup mapping the point set onto itself, by backtrack over the chain."""
-    target = set(points)
-    chain = group._chain()
-    degree = group.degree
-    found: list[tuple[int, ...]] = []
-
-    def dfs(level: int, g):
-        if level == len(chain):
-            if {g[p] for p in target} == target:
-                found.append(g)
-            return
-        lvl = chain[level]
-        inside = lvl.point in target
-        for pt, u in sorted(lvl.transversal.items()):
-            img = g[pt]
-            if (img in target) != inside:
-                continue
-            dfs(level + 1, compose(g, u))
-
-    dfs(0, identity_perm(degree))
-    return PermGroup(found, degree)
-
-
-def is_normal(group: PermGroup, sub: PermGroup) -> bool:
-    for g in group.generators:
-        ginv = inverse(g)
-        for h in sub.generators:
-            if not sub.contains(compose(g, compose(h, ginv))):
-                return False
-    return True
 
 
 def intersection_order(a: PermGroup, b: PermGroup) -> int:
@@ -314,12 +288,16 @@ def _refine_colors(n: int, incident: list, kinds: list, blocks: list, colors: li
         colors = new
 
 
-def block_automorphisms(n: int, blocks, kinds, colors) -> tuple[PermGroup, int]:
+def block_automorphisms(n: int, blocks, kinds, colors, accept=None) -> tuple[PermGroup, int]:
     """The permutations of range(n) that preserve the seed colouring
     `colors` (any hashable values), the blocks (lists of points) and each
     block's kind and size, found from generators.  Two points may lie on at
     most one block.  Returns the group and the number of search nodes (point
     images the backtrack accepted).
+
+    `accept`, if given, is a leaf test: only the permutations it keeps are
+    returned.  They must form a subgroup, so that the orbit pruning below
+    stays valid; the search then finds that subgroup from generators.
 
     The points are assigned images in a fixed order (by the size of their
     class under the iterated incidence colouring, then by index), which is
@@ -334,7 +312,7 @@ def block_automorphisms(n: int, blocks, kinds, colors) -> tuple[PermGroup, int]:
     Backtracking along it, at the level of base point b an image t is
     skipped if it lies in the orbit of b under the generators found so far
     (all of which fix the earlier base points); otherwise the search below
-    it stops at its first leaf, which becomes a generator.  The generators
+    it stops at its first kept leaf, which becomes a generator.  The generators
     found therefore form a strong generating set relative to the base.
     """
     block_pts = [sorted(b) for b in blocks]
@@ -412,21 +390,46 @@ def block_automorphisms(n: int, blocks, kinds, colors) -> tuple[PermGroup, int]:
         used[t] = True
         return fixed
 
-    def descend(step: int, first: bool) -> bool:
-        """Search below the current partial map; off the first path, stop at
-        the first leaf and report whether one was found."""
-        nonlocal nodes
-        if step == n:
-            if not first:
-                gens.append(tuple(image))
-                for x, y in enumerate(image):
-                    orbit_of[root(x)] = root(y)
-            return True
-        i = order[step]
-        cands = candidates(i)
+    def leaf(first: bool) -> bool:
+        """Whether the complete map is kept; off the first path it becomes a
+        generator."""
         if first:
-            cands.sort(key=lambda t: t != i)
-        for t in cands:
+            return True
+        perm = tuple(image)
+        if accept is not None and not accept(perm):
+            return False
+        gens.append(perm)
+        for x, y in enumerate(perm):
+            orbit_of[root(x)] = root(y)
+        return True
+
+    # Depth-first over the steps with an explicit stack, so the depth is not
+    # bounded by the recursion limit.  A frame is [step, on the first path,
+    # candidates, index of the next candidate, image blocks fixed by the
+    # current candidate or None].  `found` carries whether the subtree just
+    # left ended in a kept leaf; off the first path that ends the frame too.
+    stack = [[0, True, None, 0, None]] if n else []
+    found = False
+    while stack:
+        frame = stack[-1]
+        step, first, cands, k, fixed = frame
+        i = order[step]
+        if cands is None:
+            cands = frame[2] = candidates(i)
+            if first:
+                cands.sort(key=lambda t: t != i)
+        if fixed is not None:
+            image[i] = -1
+            used[cands[k - 1]] = False
+            unfix(fixed)
+            frame[4] = None
+            if found and not first:
+                stack.pop()
+                continue
+        found = False
+        while k < len(cands):
+            t = cands[k]
+            k += 1
             stay = first and t == i
             if first and not stay and root(t) == root(i):
                 continue
@@ -434,13 +437,12 @@ def block_automorphisms(n: int, blocks, kinds, colors) -> tuple[PermGroup, int]:
             if fixed is None:
                 continue
             nodes += 1
-            found = descend(step + 1, stay)
-            image[i] = -1
-            used[t] = False
-            unfix(fixed)
-            if found and not first:
-                return True
-        return False
-
-    descend(0, True)
+            frame[3], frame[4] = k, fixed
+            if step + 1 < n:
+                stack.append([step + 1, stay, None, 0, None])
+            else:
+                found = leaf(stay)
+            break
+        else:
+            stack.pop()
     return PermGroup(gens, n, base_hint=order), nodes

@@ -382,16 +382,6 @@ def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
     return projective, affine
 
 
-def double_rank(scheme: SchemeModel, dmax: int | None = None) -> tuple[int, int]:
-    """(r, s): r is the top dimension of a contained affine patch whose
-    projective closure is not contained; s the top dimension of a fully
-    contained projective subspace."""
-    projective, affine = enumerate_subspaces(scheme, dmax)
-    r = max((a.dim for a in affine), default=0)
-    s = max((d for d, items in projective.items() if items), default=0)
-    return r, s
-
-
 # ---------------------------------------------------------------------------
 # counting and interpolation
 # ---------------------------------------------------------------------------

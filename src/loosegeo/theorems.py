@@ -15,7 +15,7 @@ from itertools import combinations, product
 
 from . import autsearch, gfq, matrices
 from .graphs import LooseGraph, LooseMorphism, graph_aut_group_perms
-from .permgroup import PermGroup, pointwise_stabilizer, verify_central_product
+from .permgroup import PermGroup, verify_central_product
 from .scheme import (
     SchemeModel,
     build_scheme,
@@ -397,6 +397,18 @@ def _perm_subgroup(ctx: Context, elements) -> PermGroup:
     return PermGroup(perms, len(ctx.scheme.points))
 
 
+def _linear_fixing_group(ctx: Context, points) -> PermGroup:
+    """The linear elements (Frobenius power 0) fixing every listed point, on
+    the points.  The central products are read in the linear part, as in
+    mttrees: over a non-prime field the Frobenius fixes every basis point,
+    while the factors are linear, so they cannot generate it."""
+    return PermGroup(
+        [perm for g, perm in zip(ctx.proj.elements, ctx.proj.perms)
+         if g.frob == 0 and all(perm[i] == i for i in points)],
+        len(ctx.scheme.points),
+    )
+
+
 def _overlaps(rep: dict) -> list[dict]:
     """The pairwise intersection orders of a central product report, as
     plain data (JSON has no tuple keys)."""
@@ -420,7 +432,7 @@ def _check_thmcp(ctx: Context) -> TheoremReport:
     b_els = autsearch.plane_pointwise_stabilizer(proj, [x, y, endx])["elements"]
     A = _perm_subgroup(ctx, a_els)
     B = _perm_subgroup(ctx, b_els)
-    N = pointwise_stabilizer(proj.perm_group, [ctx.basis_index(x), ctx.basis_index(y)])
+    N = _linear_fixing_group(ctx, [ctx.basis_index(x), ctx.basis_index(y)])
     rep = verify_central_product(N, [A, B])
     quantities = {
         "A": A.order(),
@@ -457,7 +469,7 @@ def _check_cenprod(ctx: Context) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("cenprod", ctx, "needs at least two inner vertices")
     factors = [PermGroup(ctx.sw(w)["perms"], len(ctx.scheme.points)) for w in ctx.inner]
-    N = pointwise_stabilizer(ctx.proj.perm_group, ctx.inner_indices)
+    N = _linear_fixing_group(ctx, ctx.inner_indices)
     rep = verify_central_product(N, factors)
     quantities = {
         "fixing_group": N.order(),

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from loosegeo import autsearch, permgroup
+from loosegeo import autsearch, gfq, permgroup
 from loosegeo.scheme import build_scheme, classify_lines
 from conftest import CORPUS, corpus_graph
 from test_formats import loose_graphs
@@ -70,6 +70,141 @@ def test_every_element_stabilizes():
     proj = autsearch.proj_aut_group(scheme)
     for g in proj.elements:
         assert autsearch.collineation_stabilizes(scheme, g.matrix)
+
+
+def frame_search(scheme):
+    """Every linear stabilizer via images of the coordinate frame, as a
+    sorted list of canonical matrices: the reference for `proj_aut_group`.
+
+    A linear collineation is determined by the images of the basis points
+    and the unit point.  Candidate images are pruned by comparing scheme
+    profiles of spans, which are collineation invariants: the images of
+    basis points i and k must span a line with the profile of the coordinate
+    line (i, k), and the first k images a space with the profile of the
+    first k coordinates.  The unit point fixes the scales of the chosen
+    images, one column at a time; once the scales of columns 0..c are fixed,
+    the image of every rational point whose last nonzero coordinate is c is
+    fixed too and must lie in X.  `collineation_stabilizes` decides every
+    complete matrix."""
+    F, m = scheme.F, scheme.m
+    basis = [autsearch._basis_vec(m, i) for i in range(m)]
+    pair_ref = {
+        (i, j): scheme.profile((basis[i], basis[j]))
+        for i in range(m)
+        for j in range(i + 1, m)
+    }
+    prefix_ref = [scheme.profile(tuple(basis[: k + 1])) for k in range(m)]
+    by_profile: dict = {}
+    for p in gfq.projective_points(F, m):
+        by_profile.setdefault(scheme.profile((p,)), []).append(p)
+    level_cands = [by_profile.get(scheme.profile((basis[i],)), []) for i in range(m)]
+    by_last = [[] for _ in range(m)]
+    for p in scheme.points:
+        by_last[max(c for c in range(m) if p[c])].append(p)
+    units = [c for c in F.elements() if c != 0]
+    found = set()
+    chosen: list = []
+    cols: list = []
+
+    def scale_from(c):
+        if c == m:
+            M = tuple(zip(*cols))
+            if autsearch.collineation_stabilizes(scheme, M):
+                found.add(autsearch.canonical_matrix(F, M))
+            return
+        for lam in units if c else (1,):
+            cols.append(gfq.vec_scale(F, lam, chosen[c]))
+            partial = tuple(zip(*cols))
+            if all(
+                gfq.normalize_point(F, gfq.mat_vec(F, partial, p)) in scheme.point_index
+                for p in by_last[c]
+            ):
+                scale_from(c + 1)
+            cols.pop()
+
+    def descend(i, cands):
+        if i == m:
+            scale_from(0)
+            return
+        for p in cands[i]:
+            rows = gfq.echelon(F, chosen + [p])
+            if len(rows) != i + 1 or scheme.profile(rows) != prefix_ref[i]:
+                continue
+            deeper = cands[: i + 1]
+            for k in range(i + 1, m):
+                keep = [x for x in cands[k] if scheme.profile((p, x)) == pair_ref[(i, k)]]
+                if not keep:
+                    break
+                deeper.append(keep)
+            else:
+                chosen.append(p)
+                descend(i + 1, deeper)
+                chosen.pop()
+
+    descend(0, level_cands)
+    return sorted(found)
+
+
+def assert_proj_matches_frame_search(scheme):
+    proj = autsearch.proj_aut_group(scheme)
+    linear = frame_search(scheme)
+    elements = [autsearch.Collineation(M, t) for M in linear for t in range(scheme.F.e)]
+    assert proj.linear == linear
+    assert proj.frob_count == scheme.F.e
+    assert proj.elements == elements
+    assert proj.perms == [autsearch.collineation_point_perm(scheme, g) for g in elements]
+    assert proj.perm_group.order() == len(set(proj.perms))
+
+
+@pytest.mark.parametrize("name,q", [
+    ("gamma1", 3),  # the projective group is half the combinatorial one
+    ("toy", 4),  # semilinear
+    ("p4", 4),  # semilinear
+    ("ve", 2),  # nontrivial kernel
+    ("ve", 3),  # nontrivial kernel
+])
+def test_proj_group_matches_frame_search(name, q):
+    assert_proj_matches_frame_search(model(name, q))
+
+
+def small_scheme(g, q):
+    """The scheme of a random graph with at most four coordinates and 24
+    rational points.  Larger ones can have groups too big to list in a test:
+    a vertex with three loose edges at q=3 (an affine 3-space, 27 points)
+    takes over 20 s in either projective search."""
+    assume(1 <= len(g.completion()) <= 4)
+    scheme = build_scheme(g, q)
+    assume(len(scheme.points) <= 24)
+    return scheme
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_proj_group_matches_frame_search_on_random_graphs(g, q):
+    assert_proj_matches_frame_search(small_scheme(g, q))
+
+
+def pgammal_order(m, q):
+    F = gfq.get_field(q)
+    order = F.e * q ** (m * (m - 1) // 2)
+    for i in range(2, m + 1):
+        order *= q**i - 1
+    return order
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_proj_group_is_a_subgroup_of_the_comb_group(g, q):
+    scheme = small_scheme(g, q)
+    proj = autsearch.proj_aut_group(scheme)
+    assert proj.perm_group.is_subgroup_of(autsearch.comb_aut_group(scheme).perm_group)
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_proj_order_divides_pgammal(g, q):
+    scheme = small_scheme(g, q)
+    assert pgammal_order(scheme.m, q) % autsearch.proj_aut_group(scheme).order == 0
 
 
 def test_comb_group_orders():

@@ -142,3 +142,10 @@ def test_central_product_reports_are_json(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", "cenprod", CORPUS / f"{graph}.lg", "-q", 2, "--json")
         assert code == 0
         json.loads(out)
+
+
+def test_collineation_witnesses_are_json_data(capsys):
+    code, out, _ = run(capsys, "verify", "kernel-trivial", CORPUS / "ve.lg", "-q", 3, "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["witnesses"] == [{"matrix": [[0, 1], [1, 0]], "frob": 0}]

@@ -110,3 +110,9 @@ def test_topo_aut_group_matches_listing(n):
     elements = f1.topo_aut_group(space).elements()
     assert len(elements) == len(set(elements))
     assert set(elements) == set(listed_topo_auts(space))
+
+
+def test_topo_aut_group_searches_past_the_recursion_limit():
+    # 1,024 points: the search is one step deeper per point, which a
+    # recursive backtrack could not reach under the default recursion limit
+    assert f1.topo_aut_group(f1.spec_points(10)).order() == 3628800

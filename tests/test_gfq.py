@@ -80,15 +80,6 @@ def test_mat_inv_rejects_singular():
     assert gfq.mat_inv(F, singular) is None
 
 
-def test_solve_consistent_and_inconsistent():
-    F = gfq.get_field(2)
-    M = ((1, 1), (0, 1))
-    x = gfq.solve(F, M, (1, 1))
-    assert x is not None and gfq.mat_vec(F, M, x) == (1, 1)
-    singular = ((1, 1), (1, 1))
-    assert gfq.solve(F, singular, (1, 0)) is None
-
-
 @st.composite
 def small_systems(draw, square=False):
     """(F, M, b) over q in {2, 3} with at most three rows and columns."""
@@ -114,10 +105,17 @@ def test_mat_inv_matches_brute_force(system):
 
 
 @given(small_systems())
-def test_solve_matches_brute_force(system):
-    F, M, b = system
-    exists = any(gfq.mat_vec(F, M, x) == b for x in product(range(F.q), repeat=len(M[0])))
-    x = gfq.solve(F, M, b)
-    assert (x is not None) == exists
-    if x is not None:
-        assert gfq.mat_vec(F, M, x) == b
+def test_null_space_matches_brute_force(system):
+    F, M, _ = system
+    n = len(M[0])
+    kernel = {x for x in product(range(F.q), repeat=n) if not any(gfq.mat_vec(F, M, x))}
+    basis = gfq.null_space(F, M, n)
+    assert len(kernel) == F.q ** len(basis)
+    columns = tuple(zip(*basis)) or ((),) * n
+    spanned = {gfq.mat_vec(F, columns, c) for c in product(range(F.q), repeat=len(basis))}
+    assert spanned == kernel
+
+
+def test_null_space_of_no_rows_is_everything():
+    F = gfq.get_field(3)
+    assert gfq.null_space(F, [], 2) == [(1, 0), (0, 1)]

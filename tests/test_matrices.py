@@ -64,9 +64,3 @@ def test_kernel_and_rational_map():
     f = contraction_morphism()
     rep = matrices.kernel_f1(f, q=2)
     assert len(rep["kernel"]) + len(rep["domain"]) == 9  # |X(p4, F_2)|
-    applied = matrices.apply_morphism(f, q=2)
-    for entry in applied:
-        if entry["image"] is None:
-            assert entry["point"] in rep["kernel"]
-        else:
-            assert sum(entry["image"]) > 0

@@ -10,9 +10,7 @@ from loosegeo.permgroup import (
     compose,
     intersection_order,
     inverse,
-    is_normal,
     pointwise_stabilizer,
-    setwise_stabilizer,
     verify_central_product,
 )
 
@@ -35,15 +33,6 @@ def test_stabilizers_in_s4():
     g = sym(4)
     stab = pointwise_stabilizer(g, [0])
     assert stab.order() == 6
-    setw = setwise_stabilizer(g, [0, 1])
-    assert setw.order() == 4  # swaps within {0,1} times swaps within {2,3}
-    assert not is_normal(g, setw)
-
-
-def test_normality():
-    g = sym(3)
-    a3 = PermGroup([(1, 2, 0)], 3)
-    assert is_normal(g, a3)
 
 
 def test_intersection_order():

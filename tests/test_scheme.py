@@ -11,7 +11,6 @@ from loosegeo.scheme import (
     convexity_check,
     count_points,
     decompose,
-    double_rank,
     enumerate_subspaces,
     interpolate_count_polynomial,
     subgraph_span_dim,
@@ -122,13 +121,6 @@ def test_enumerate_subspaces_gamma1():
     assert len(projective.get(1, [])) == 12
     dims = sorted(p.dim for p in affine)
     assert dims == [1] * 8 + [2] * 4
-
-
-def test_double_rank_examples():
-    assert double_rank(build_scheme(corpus_graph("toy"), 2)) == (2, 1)
-    # the triangle span is fully projective: no complete-affine part
-    assert double_rank(build_scheme(corpus_graph("k3"), 2)) == (0, 2)
-    assert double_rank(build_scheme(corpus_graph("gamma2"), 2)) == (3, 2)
 
 
 def test_convexity_requires_tree():

@@ -141,3 +141,23 @@ def test_suite_keeps_functoriality_under_entry_q_override():
     result = theorems.run_suite(entries, qs=(3,))
     assert [(r.theorem, r.q) for r in result["reports"]] == [
         ("functoriality", 2), ("transroot", 2)]
+
+
+@pytest.mark.parametrize("name,fixing,factors", [
+    ("p4", 27, [9, 9]),
+    ("spider", 486, [54, 9, 9]),
+])
+def test_cenprod_takes_the_linear_part_at_q4(name, fixing, factors):
+    # over F_4 the Frobenius fixes every basis point, so the full fixing
+    # group (54 on p4, 972 on spider) is twice the central product
+    rep = theorems.verify("cenprod", corpus_graph(name), 4, name)
+    assert rep.verdict == "pass"
+    assert rep.quantities["fixing_group"] == fixing
+    assert rep.quantities["factors"] == factors
+
+
+def test_thmcp_takes_the_linear_part_at_q4():
+    rep = theorems.verify("thmcp", corpus_graph("toy"), 4, "toy")
+    assert rep.verdict == "pass"
+    assert (rep.quantities["A"], rep.quantities["B"]) == (36, 12)
+    assert rep.quantities["fixing_group"] == 432  # 864 with the Frobenius
