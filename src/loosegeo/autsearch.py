@@ -15,16 +15,28 @@ classified lines.  A stabilizing collineation preserves the lines and their
 kinds, so on the points the projective group is the subgroup of the
 combinatorial group whose elements lift to a stabilizing collineation; the
 lift is linear algebra over GF(q), one small null space per Frobenius power,
-and it is the search's leaf test.  No search runs over PG(m-1, q).
+and it is the search's leaf test.  No search runs over PG(m-1, q).  Each
+group is held as its generators and chain, the projective one also as the
+kernel of its action on the points; orders, fixing subgroups and the linear
+part are read off them, and the element lists are listed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
+from math import gcd
 
 from . import gfq
-from .permgroup import PermGroup, block_automorphisms, compose, identity_perm
+from .permgroup import (
+    PermGroup,
+    block_automorphisms,
+    compose,
+    identity_perm,
+    inverse,
+    pointwise_stabilizer,
+)
 from .scheme import SchemeModel, classify_lines, line_rational_points
 
 
@@ -120,43 +132,6 @@ def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
 
 
 # -- projective stabilizer ----------------------------------------------------
-
-
-@dataclass
-class ProjAut:
-    """The semilinear stabilizer of a point set."""
-
-    scheme: SchemeModel
-    linear: list  # canonical matrices of the linear stabilizer
-    frob_count: int  # number of field automorphism powers adjoined
-    elements: list[Collineation]
-    perms: list  # point permutations, aligned with elements
-    perm_group: PermGroup
-
-    @property
-    def linear_order(self) -> int:
-        return len(self.linear)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def faithful_witnesses(self) -> list[Collineation]:
-        """Non-identity elements acting trivially on the rational points."""
-        n = len(self.scheme.points)
-        ident = tuple(range(n))
-        out = []
-        for g, perm in zip(self.elements, self.perms):
-            if perm != ident:
-                continue
-            scalar = all(
-                g.matrix[i][j] == (g.matrix[0][0] if i == j else 0)
-                for i in range(self.scheme.m)
-                for j in range(self.scheme.m)
-            )
-            if not (scalar and g.frob % self.scheme.F.e == 0):
-                out.append(g)
-        return out
 
 
 def _restrict(F: gfq.FField, basis: list, pairs) -> list:
@@ -256,34 +231,110 @@ def _compose_collineations(F: gfq.FField, g: Collineation, h: Collineation) -> C
     return Collineation(canonical_matrix(F, gfq.mat_mul(F, g.matrix, N)), (g.frob + h.frob) % F.e)
 
 
-def proj_aut_group(scheme: SchemeModel) -> ProjAut:
-    """The semilinear stabilizer, each element with its point permutation.
+@dataclass
+class ProjAut:
+    """The semilinear stabilizer of a point set: its group on the rational
+    points, the `kernel` of that action (the stabilizing lifts of the
+    identity, by matrix, then Frobenius power) and the lifter.  The lifts of
+    a permutation are any one of them times the kernel.  `elements`, `perms`
+    and `linear` list the group on first read."""
 
-    A stabilizing collineation keeps X's lines and their kinds, so on the
-    rational points the stabilizer is the subgroup of the combinatorial
-    group whose elements lift.  `block_automorphisms` finds it from
-    generators, with the classified lines as blocks and the lift as leaf
-    test.  Every element of that group is one product of coset
-    representatives along its chain; the product of their lifts is one lift
-    of it, and its lifts are exactly that one times the kernel, the
-    stabilizing lifts of the identity permutation.  Elements are listed by
-    matrix, then Frobenius power.
-    """
+    scheme: SchemeModel
+    perm_group: PermGroup
+    kernel: list[Collineation]
+    lifter: _Lifter
+
+    @property
+    def frob_count(self) -> int:
+        """Number of field automorphism powers adjoined."""
+        return self.scheme.F.e
+
+    @property
+    def order(self) -> int:
+        return self.perm_group.order() * len(self.kernel)
+
+    @property
+    def linear_order(self) -> int:
+        linear_kernel = sum(1 for k in self.kernel if k.frob == 0)
+        return self.linear_perm_group.order() * linear_kernel
+
+    @cached_property
+    def linear_perm_group(self) -> PermGroup:
+        """The permutations with a linear lift (Frobenius power 0).  The
+        powers of the lifts of a permutation form a coset of the subgroup the
+        kernel's powers generate in Z/e, so a lift's power modulo g = gcd(e,
+        the kernel's powers) is a homomorphism to Z/g; this is its kernel,
+        generated by the Schreier generators of at most g cosets."""
+        g = gcd(self.scheme.F.e, *(k.frob for k in self.kernel))
+        if g == 1:
+            return self.perm_group
+        gens = self.perm_group.generators
+        power = {s: self.lifter.lift(s).frob % g for s in gens}
+        reps = {0: identity_perm(self.perm_group.degree)}
+        queue = [0]
+        for v in queue:
+            for s in gens:
+                w = (v + power[s]) % g
+                if w not in reps:
+                    reps[w] = compose(s, reps[v])
+                    queue.append(w)
+        schreier = [
+            compose(inverse(reps[(v + power[s]) % g]), compose(s, u))
+            for v, u in reps.items()
+            for s in gens
+        ]
+        return PermGroup(schreier, self.perm_group.degree)
+
+    def faithful_witnesses(self) -> list[Collineation]:
+        """Non-identity elements acting trivially on the rational points."""
+        ident = Collineation(tuple(_basis_vec(self.scheme.m, i) for i in range(self.scheme.m)))
+        return [k for k in self.kernel if k != ident]
+
+    def lifted(self, group: PermGroup) -> list[tuple[tuple[int, ...], Collineation]]:
+        """Every element inducing a permutation of `group`, a subgroup of
+        `perm_group`, with that permutation: one product of lifted coset
+        representatives along the chain of `group` times a kernel element."""
+        F, n = self.scheme.F, group.degree
+        products = [(identity_perm(n), k) for k in self.kernel]
+        for reps in reversed(group.coset_representatives()):
+            lifts = [(u, self.lifter.lift(u)) for u in reps]
+            products = [
+                (compose(u, perm), _compose_collineations(F, g, h))
+                for u, g in lifts
+                for perm, h in products
+            ]
+        return products
+
+    @cached_property
+    def _listing(self) -> tuple[list[Collineation], list]:
+        """Every element, by matrix, then Frobenius power, with its permutation."""
+        found = {g: perm for perm, g in self.lifted(self.perm_group)}
+        elements = sorted(found, key=lambda g: (g.matrix, g.frob))
+        return elements, [found[g] for g in elements]
+
+    @property
+    def elements(self) -> list[Collineation]:
+        return self._listing[0]
+
+    @property
+    def perms(self) -> list:
+        """Point permutations, aligned with `elements`."""
+        return self._listing[1]
+
+    @cached_property
+    def linear(self) -> list:
+        """Canonical matrices of the linear stabilizer."""
+        return [g.matrix for g in self._listing[0] if g.frob == 0]
+
+
+def proj_aut_group(scheme: SchemeModel) -> ProjAut:
+    """The semilinear stabilizer, found by the line search with the lift as
+    leaf test (see the module docstring)."""
     n = len(scheme.points)
     lifter = _Lifter(scheme)
     _, group, _ = _line_automorphisms(scheme, lambda perm: lifter.lift(perm) is not None)
-    products = [(identity_perm(n), k) for k in lifter.lifts(identity_perm(n))]
-    for reps in reversed(group.coset_representatives()):
-        lifted = [(u, lifter.lift(u)) for u in reps]
-        products = [
-            (compose(u, perm), _compose_collineations(scheme.F, g, h))
-            for u, g in lifted
-            for perm, h in products
-        ]
-    found = {g: perm for perm, g in products}
-    elements = sorted(found, key=lambda g: (g.matrix, g.frob))
-    linear = [g.matrix for g in elements if g.frob == 0]
-    return ProjAut(scheme, linear, scheme.F.e, elements, [found[g] for g in elements], group)
+    kernel = sorted(lifter.lifts(identity_perm(n)), key=lambda g: (g.matrix, g.frob))
+    return ProjAut(scheme, group, kernel, lifter)
 
 
 def exhaustive_stabilizer(scheme: SchemeModel) -> list:
@@ -305,59 +356,44 @@ def exhaustive_stabilizer(scheme: SchemeModel) -> list:
 # -- distinguished subgroups -------------------------------------------------
 
 
-def local_fixing_subgroup(proj: ProjAut, w: str) -> dict:
-    """Elements fixing, pointwise, the local affine space at every inner
-    vertex other than w, with the direction toward w removed at neighbours.
-
-    The fixed sets are rational, so the filter is a finite point check.
-    """
-    scheme = proj.scheme
+def local_spans(scheme: SchemeModel, w: str) -> list[list[str]]:
+    """The completion vertices spanning the local affine space at every inner
+    vertex other than w, without the direction toward w.  Fixing an affine
+    space pointwise fixes its span: a line through two fixed affine points
+    has one more point, at infinity, and it is fixed too."""
     graph = scheme.graph
-    F, m = scheme.F, scheme.m
     if w not in graph.vertices:
         raise ValueError(f"unknown vertex {w!r}")
-    targets = []
-    for v in graph.inner_vertices():
-        if v == w:
-            continue
-        dirs = [d for d in scheme.completion.neighbours(v) if d != w]
-        vbit = scheme.index[v]
-        dbits = [scheme.index[d] for d in dirs]
-        for vals in product(F.elements(), repeat=len(dbits)):
-            vec = [0] * m
-            vec[vbit] = 1
-            for i, c in zip(dbits, vals):
-                vec[i] = c
-            targets.append(gfq.normalize_point(F, tuple(vec)))
-    keep = []
-    keep_perms = []
-    for g, perm in zip(proj.elements, proj.perms):
-        if all(apply_collineation(scheme, g, p) == p for p in targets):
-            keep.append(g)
-            keep_perms.append(perm)
-    group = PermGroup(keep_perms, len(scheme.points))
-    return {
-        "vertex": w,
-        "elements": keep,
-        "perms": keep_perms,
-        "group": group,
-        "order": len(keep),
-        "fixed_points": targets,
-    }
+    return [
+        [v] + [d for d in scheme.completion.neighbours(v) if d != w]
+        for v in graph.inner_vertices()
+        if v != w
+    ]
 
 
-def plane_pointwise_stabilizer(proj: ProjAut, completion_vertices) -> dict:
-    """Elements fixing, pointwise, the rational points of the coordinate
-    subspace spanned by the given completion vertices."""
+def fixing_subgroup(proj: ProjAut, spans) -> tuple[PermGroup, int]:
+    """The elements fixing, pointwise, the rational points of the coordinate
+    subspace spanned by each listed set of completion vertices: their group
+    on the rational points and their number.  They lie over the pointwise
+    stabilizer of the targets in X; its lifts that fix the other targets are
+    kept."""
     scheme = proj.scheme
     F, m = scheme.F, scheme.m
-    pts = gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in completion_vertices])
-    keep = [
-        g
-        for g in proj.elements
-        if all(apply_collineation(scheme, g, p) == p for p in pts)
+    targets = {
+        p
+        for span in spans
+        for p in gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in span])
+    }
+    outside = sorted(p for p in targets if p not in scheme.point_index)
+    group = pointwise_stabilizer(
+        proj.perm_group, sorted(scheme.point_index[p] for p in targets if p in scheme.point_index)
+    )
+    kept = [
+        perm
+        for perm, g in proj.lifted(group)
+        if all(apply_collineation(scheme, g, p) == p for p in outside)
     ]
-    return {"elements": keep, "order": len(keep), "fixed_points": pts}
+    return PermGroup(kept, len(scheme.points)), len(kept)
 
 
 # -- combinatorial automorphisms ---------------------------------------------
@@ -367,13 +403,17 @@ def plane_pointwise_stabilizer(proj: ProjAut, completion_vertices) -> dict:
 class CombAut:
     scheme: SchemeModel
     lines: list
-    perms: list  # every automorphism, expanded from the chain
     perm_group: PermGroup
     nodes: int  # search nodes: point images the backtrack accepted
 
     @property
     def order(self) -> int:
-        return len(self.perms)
+        return self.perm_group.order()
+
+    @cached_property
+    def perms(self) -> list:
+        """Every automorphism, expanded from the chain on first read."""
+        return self.perm_group.elements()
 
 
 def _line_automorphisms(scheme: SchemeModel, accept=None):
@@ -391,7 +431,7 @@ def comb_aut_group(scheme: SchemeModel) -> CombAut:
     """The automorphisms of the point-line geometry preserving line kinds,
     found from generators with no leaf test."""
     lines, group, nodes = _line_automorphisms(scheme)
-    return CombAut(scheme, lines, group.elements(), group, nodes)
+    return CombAut(scheme, lines, group, nodes)
 
 
 # -- embedded inner graph -----------------------------------------------------
@@ -467,9 +507,39 @@ def _pgl_generators(F: gfq.FField, m: int):
     return gens
 
 
-def _act_line(F: gfq.FField, M, line_key):
-    rows = tuple(gfq.mat_vec(F, M, r) for r in line_key)
-    return gfq.echelon(F, rows)
+MAX_CONFIGURATION_WORK = 10**6
+
+
+def _bound_configuration_work(q: int, per_pair: int) -> None:
+    """Refuse an enumeration of configurations in PG(3, q) whose loops would
+    visit more than MAX_CONFIGURATION_WORK candidates: ordered pairs of
+    distinct points, a line through each, and `per_pair` more choices."""
+    points = q**3 + q**2 + q + 1
+    work = points * (points - 1) * (q**2 + q + 1) ** 2 * per_pair
+    if work > MAX_CONFIGURATION_WORK:
+        raise ValueError(
+            f"configurations in PG(3, {q}) need about {work} candidates, "
+            f"more than the bound {MAX_CONFIGURATION_WORK}"
+        )
+
+
+def _skew_line_pairs(F: gfq.FField, lines: dict):
+    """Every (x, y, xy, A, B) in PG(3, q): distinct points x and y, their
+    line xy, and disjoint lines A through x and B through y, both other than
+    xy; `lines` maps each line of PG(3, q) to its rational points."""
+    pts = list(gfq.projective_points(F, 4))
+    through = {p: [k for k, s in lines.items() if p in s] for p in pts}
+    for x in pts:
+        for y in pts:
+            if x == y:
+                continue
+            xy = gfq.echelon(F, (x, y))
+            for A in through[x]:
+                if A == xy:
+                    continue
+                for B in through[y]:
+                    if B != xy and not lines[A] & lines[B]:
+                        yield x, y, xy, A, B
 
 
 def enumerate_roots(q: int) -> dict:
@@ -477,60 +547,32 @@ def enumerate_roots(q: int) -> dict:
     a line Y through x and a line X through y, both different from the line
     xy, with Y and X disjoint.  Reports the count and transitivity of the
     semilinear group on them."""
+    _bound_configuration_work(q, 1)
     F = gfq.get_field(q)
-    m = 4
-    lines = _pg_lines(F, m)
-    pts = list(gfq.projective_points(F, m))
-    through = {p: [k for k, s in lines.items() if p in s] for p in pts}
-    roots = set()
-    for x in pts:
-        for y in pts:
-            if x == y:
-                continue
-            xy = gfq.echelon(F, (x, y))
-            for Y in through[x]:
-                if Y == xy:
-                    continue
-                ys = lines[Y]
-                for X in through[y]:
-                    if X == xy or lines[X] & ys:
-                        continue
-                    roots.add((x, y, Y, X))
-    return _orbit_report(F, m, roots, _act_root)
+    roots = {(x, y, Y, X) for x, y, _, Y, X in _skew_line_pairs(F, _pg_lines(F, 4))}
+    return _orbit_report(F, 4, roots)
 
 
-def _act_root(F, M, root):
-    x, y, Y, X = root
-    return (
-        gfq.normalize_point(F, gfq.mat_vec(F, M, x)),
-        gfq.normalize_point(F, gfq.mat_vec(F, M, y)),
-        _act_line(F, M, Y),
-        _act_line(F, M, X),
+def _map_config(F: gfq.FField, f, config):
+    """Each point and line of a configuration mapped by the vector map f."""
+    return tuple(
+        gfq.echelon(F, tuple(f(r) for r in part)) if isinstance(part[0], tuple)
+        else gfq.normalize_point(F, f(part))
+        for part in config
     )
 
 
-def _frob_config(F, t, config):
-    out = []
-    for part in config:
-        if isinstance(part[0], tuple):
-            out.append(gfq.echelon(F, tuple(frobenius_vec(F, r, t) for r in part)))
-        else:
-            out.append(gfq.normalize_point(F, frobenius_vec(F, part, t)))
-    return tuple(out)
-
-
-def _orbit_report(F, m, configs, act) -> dict:
-    gens = _pgl_generators(F, m)
+def _orbit_report(F, m, configs) -> dict:
+    maps = [partial(gfq.mat_vec, F, M) for M in _pgl_generators(F, m)]
+    if F.e > 1:
+        maps.append(partial(frobenius_vec, F, t=1))
     start = next(iter(configs))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for cfg in frontier:
-            images = [act(F, M, cfg) for M in gens]
-            if F.e > 1:
-                images.append(_frob_config(F, 1, cfg))
-            for img in images:
+            for img in (_map_config(F, f, cfg) for f in maps):
                 if img not in seen:
                     if img not in configs:
                         raise AssertionError("orbit left the configuration set")
@@ -552,39 +594,17 @@ def enumerate_fundaments(q: int, ends: bool = False) -> dict:
 
     With `ends`, each configuration additionally carries one marked point on
     alpha away from x and one on beta away from y."""
+    _bound_configuration_work(q, q * q if ends else 1)
     F = gfq.get_field(q)
-    m = 4
-    lines = _pg_lines(F, m)
-    pts = list(gfq.projective_points(F, m))
-    through = {p: [k for k, s in lines.items() if p in s] for p in pts}
+    lines = _pg_lines(F, 4)
     configs = set()
-    for x in pts:
-        for y in pts:
-            if x == y:
-                continue
-            xy = gfq.echelon(F, (x, y))
-            for A in through[x]:
-                if A == xy:
-                    continue
-                for B in through[y]:
-                    if B == xy or lines[A] & lines[B]:
-                        continue
-                    if gfq.span_dim(F, list(A) + list(B)) != m:
-                        continue
-                    if not ends:
-                        configs.add((A, xy, B))
-                        continue
-                    for c in lines[A] - {x}:
-                        for d in lines[B] - {y}:
-                            configs.add((A, xy, B, c, d))
-    return _orbit_report(F, m, configs, _act_fund)
-
-
-def _act_fund(F, M, cfg):
-    out = []
-    for part in cfg:
-        if isinstance(part[0], tuple):
-            out.append(_act_line(F, M, part))
-        else:
-            out.append(gfq.normalize_point(F, gfq.mat_vec(F, M, part)))
-    return tuple(out)
+    for x, y, xy, A, B in _skew_line_pairs(F, lines):
+        if gfq.span_dim(F, list(A) + list(B)) != 4:
+            continue
+        if not ends:
+            configs.add((A, xy, B))
+            continue
+        for c in lines[A] - {x}:
+            for d in lines[B] - {y}:
+                configs.add((A, xy, B, c, d))
+    return _orbit_report(F, 4, configs)

@@ -197,17 +197,6 @@ class PermGroup:
             and self.is_subgroup_of(other)
         )
 
-    def orbit(self, point: int) -> set[int]:
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            pt = frontier.pop()
-            for g in self.generators:
-                if g[pt] not in seen:
-                    seen.add(g[pt])
-                    frontier.append(g[pt])
-        return seen
-
 
 def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     """Subgroup fixing every listed point, read off a chain based at those
@@ -217,6 +206,19 @@ def pointwise_stabilizer(group: PermGroup, points) -> PermGroup:
     chain = PermGroup(group.generators, group.degree, base_hint=points)._chain()
     k = len(points)
     return PermGroup(chain[k].gens if k < len(chain) else [], group.degree)
+
+
+def transporter(group: PermGroup, points, images):
+    """An element mapping points[i] to images[i] for every i, or None, read
+    off a chain based at the points."""
+    chain = PermGroup(group.generators, group.degree, base_hint=points)._chain()
+    g = identity_perm(group.degree)
+    for level, y in zip(chain, images):
+        u = level.transversal.get(inverse(g)[y])
+        if u is None:
+            return None
+        g = compose(g, u)
+    return g
 
 
 def intersection_order(a: PermGroup, b: PermGroup) -> int:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 from . import autsearch, gfq, matrices
 from .graphs import LooseGraph, LooseMorphism, graph_aut_group_perms
-from .permgroup import PermGroup, verify_central_product
+from .permgroup import PermGroup, pointwise_stabilizer, transporter, verify_central_product
 from .scheme import (
     SchemeModel,
     build_scheme,
@@ -69,33 +70,18 @@ class Context:
         self.graph = graph
         self.q = q
         self.name = name
-        self._scheme = None
-        self._proj = None
-        self._comb = None
-        self._sw: dict = {}
 
-    @property
+    @cached_property
     def scheme(self) -> SchemeModel:
-        if self._scheme is None:
-            self._scheme = build_scheme(self.graph, self.q)
-        return self._scheme
+        return build_scheme(self.graph, self.q)
 
-    @property
+    @cached_property
     def proj(self) -> autsearch.ProjAut:
-        if self._proj is None:
-            self._proj = autsearch.proj_aut_group(self.scheme)
-        return self._proj
+        return autsearch.proj_aut_group(self.scheme)
 
-    @property
+    @cached_property
     def comb(self) -> autsearch.CombAut:
-        if self._comb is None:
-            self._comb = autsearch.comb_aut_group(self.scheme)
-        return self._comb
-
-    def sw(self, w: str) -> dict:
-        if w not in self._sw:
-            self._sw[w] = autsearch.local_fixing_subgroup(self.proj, w)
-        return self._sw[w]
+        return autsearch.comb_aut_group(self.scheme)
 
     def basis_index(self, v: str) -> int:
         s = self.scheme
@@ -323,8 +309,8 @@ def _check_transroot(graph, q, options) -> TheoremReport:
 
 
 def _check_transfund(graph, q, options) -> TheoremReport:
+    with_ends = autsearch.enumerate_fundaments(q, ends=True)  # the larger one is refused first
     plain = autsearch.enumerate_fundaments(q)
-    with_ends = autsearch.enumerate_fundaments(q, ends=True)
     ok = plain["transitive"] and with_ends["transitive"]
     return TheoremReport(
         "transfund",
@@ -361,11 +347,11 @@ def _check_ddc(ctx: Context) -> TheoremReport:
     x, y, endx, endy = shape
     q = ctx.q
     proj = ctx.proj
-    d1 = autsearch.plane_pointwise_stabilizer(proj, [x, y, endx])["order"]
-    d2 = autsearch.plane_pointwise_stabilizer(proj, [x, y, endy])["order"]
-    c = autsearch.plane_pointwise_stabilizer(proj, [x, endx, endy])["order"]
+    d1 = autsearch.fixing_subgroup(proj, [[x, y, endx]])[1]
+    d2 = autsearch.fixing_subgroup(proj, [[x, y, endy]])[1]
+    c = autsearch.fixing_subgroup(proj, [[x, endx, endy]])[1]
     ix, iy = ctx.basis_index(x), ctx.basis_index(y)
-    has_swap = any(p[ix] == iy and p[iy] == ix for p in proj.perms)
+    has_swap = transporter(proj.perm_group, [ix, iy], [iy, ix]) is not None
     e = ctx.scheme.F.e
     expected = d1 * d1 * c * 2 * e
     quantities = {
@@ -391,22 +377,12 @@ def _check_groups_equal(ctx: Context, theorem: str) -> TheoremReport:
     return TheoremReport(theorem, ctx.name, ctx.q, "pass" if same else "fail", q)
 
 
-def _perm_subgroup(ctx: Context, elements) -> PermGroup:
-    idx = {g: i for i, g in enumerate(ctx.proj.elements)}
-    perms = [ctx.proj.perms[idx[g]] for g in elements]
-    return PermGroup(perms, len(ctx.scheme.points))
-
-
 def _linear_fixing_group(ctx: Context, points) -> PermGroup:
     """The linear elements (Frobenius power 0) fixing every listed point, on
     the points.  The central products are read in the linear part, as in
     mttrees: over a non-prime field the Frobenius fixes every basis point,
     while the factors are linear, so they cannot generate it."""
-    return PermGroup(
-        [perm for g, perm in zip(ctx.proj.elements, ctx.proj.perms)
-         if g.frob == 0 and all(perm[i] == i for i in points)],
-        len(ctx.scheme.points),
-    )
+    return pointwise_stabilizer(ctx.proj.linear_perm_group, points)
 
 
 def _overlaps(rep: dict) -> list[dict]:
@@ -428,10 +404,8 @@ def _check_thmcp(ctx: Context) -> TheoremReport:
     # A acts on the coordinates of y and of x's free end; it is the pointwise
     # stabilizer of the line through x and y's free end.  B is the pointwise
     # stabilizer of the plane on x, y and x's free end.
-    a_els = autsearch.plane_pointwise_stabilizer(proj, [x, endy])["elements"]
-    b_els = autsearch.plane_pointwise_stabilizer(proj, [x, y, endx])["elements"]
-    A = _perm_subgroup(ctx, a_els)
-    B = _perm_subgroup(ctx, b_els)
+    A = autsearch.fixing_subgroup(proj, [[x, endy]])[0]
+    B = autsearch.fixing_subgroup(proj, [[x, y, endx]])[0]
     N = _linear_fixing_group(ctx, [ctx.basis_index(x), ctx.basis_index(y)])
     rep = verify_central_product(N, [A, B])
     quantities = {
@@ -468,7 +442,10 @@ def _skip(theorem: str, ctx: Context, reason: str) -> TheoremReport:
 def _check_cenprod(ctx: Context) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("cenprod", ctx, "needs at least two inner vertices")
-    factors = [PermGroup(ctx.sw(w)["perms"], len(ctx.scheme.points)) for w in ctx.inner]
+    factors = [
+        autsearch.fixing_subgroup(ctx.proj, autsearch.local_spans(ctx.scheme, w))[0]
+        for w in ctx.inner
+    ]
     N = _linear_fixing_group(ctx, ctx.inner_indices)
     rep = verify_central_product(N, factors)
     quantities = {
@@ -481,28 +458,25 @@ def _check_cenprod(ctx: Context) -> TheoremReport:
     return TheoremReport("cenprod", ctx.name, ctx.q, "pass" if rep["ok"] else "fail", quantities)
 
 
-def _induced_inner_perms(ctx: Context, linear_only: bool = False):
-    """Induced permutations on the inner basis points, each with the number
-    of elements inducing it, or None with a witness if some element moves an
-    inner basis point off the basis."""
+def _inner_action(ctx: Context, group: PermGroup):
+    """The group induced on the inner basis points, on their positions, or
+    None with a witness if a generator moves one off the basis: the group
+    keeps them as a set iff its generators do."""
     idxs = ctx.inner_indices
     pos = {p: i for i, p in enumerate(idxs)}
-    induced: dict = {}
-    for g, perm in zip(ctx.proj.elements, ctx.proj.perms):
-        if linear_only and g.frob % ctx.scheme.F.e != 0:
-            continue
+    gens = []
+    for perm in group.generators:
         images = [perm[i] for i in idxs]
         if any(i not in pos for i in images):
-            return None, (g, images)
-        key = tuple(pos[i] for i in images)
-        induced[key] = induced.get(key, 0) + 1
-    return induced, None
+            return None, (perm, images)
+        gens.append(tuple(pos[i] for i in images))
+    return PermGroup(gens, len(idxs)), None
 
 
 def _check_inner_tree(ctx: Context) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("inner-tree", ctx, "needs at least two inner vertices")
-    induced, witness = _induced_inner_perms(ctx)
+    induced, witness = _inner_action(ctx, ctx.proj.perm_group)
     if induced is None:
         return TheoremReport(
             "inner-tree", ctx.name, ctx.q, "fail",
@@ -516,10 +490,10 @@ def _check_inner_tree(ctx: Context) -> TheoremReport:
     decorated = graph_aut_group_perms(inner_graph, colors=colors)
     plain = graph_aut_group_perms(inner_graph)
     dec_set = {tuple(p[v] for v in ctx.inner) for p in decorated}
-    induced_named = {tuple(ctx.inner[i] for i in p) for p in induced}
+    induced_named = {tuple(ctx.inner[i] for i in p) for p in induced.elements()}
     ok = induced_named == dec_set
     quantities = {
-        "induced": len(induced),
+        "induced": induced.order(),
         "decorated_tree_group": len(decorated),
         "plain_tree_group": len(plain),
     }
@@ -546,20 +520,24 @@ def _check_mttrees(ctx: Context) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("mttrees", ctx, "needs at least two inner vertices")
     e = ctx.scheme.F.e
-    induced_lin, bad = _induced_inner_perms(ctx, linear_only=True)
-    if induced_lin is None:
+    proj = ctx.proj
+    induced, bad = _inner_action(ctx, proj.linear_perm_group)
+    if induced is None:
         return TheoremReport("mttrees", ctx.name, ctx.q, "fail", {}, [bad],
                              "an element moves an inner basis point off the basis")
-    n_fix = induced_lin.get(tuple(range(len(ctx.inner))), 0)
-    total = n_fix * len(induced_lin) * e
+    fixing = _linear_fixing_group(ctx, ctx.inner_indices)
+    # each permutation of the linear part has as many linear lifts as the kernel
+    n_fix = fixing.order() * sum(1 for k in proj.kernel if k.frob == 0)
+    tree = induced.order()
+    total = n_fix * tree * e
     quantities = {
         "central_product_order": n_fix,
-        "tree_action_order": len(induced_lin),
+        "tree_action_order": tree,
         "semilinear_quotient": e,
-        "order": ctx.proj.order,
-        "identity": f"{n_fix} * {len(induced_lin)} * {e} == {ctx.proj.order}",
+        "order": proj.order,
+        "identity": f"{n_fix} * {tree} * {e} == {proj.order}",
     }
-    ok = total == ctx.proj.order
+    ok = total == proj.order
     return TheoremReport("mttrees", ctx.name, ctx.q, "pass" if ok else "fail", quantities)
 
 

@@ -171,7 +171,7 @@ def small_scheme(g, q):
     """The scheme of a random graph with at most four coordinates and 24
     rational points.  Larger ones can have groups too big to list in a test:
     a vertex with three loose edges at q=3 (an affine 3-space, 27 points)
-    takes over 20 s in either projective search."""
+    has 303,264 elements."""
     assume(1 <= len(g.completion()) <= 4)
     scheme = build_scheme(g, q)
     assume(len(scheme.points) <= 24)
@@ -309,18 +309,25 @@ def test_comb_search_matches_listing_on_random_graphs(g, q):
 
 def test_local_fixing_subgroup_toy():
     proj = autsearch.proj_aut_group(model("toy", 3))
-    sx = autsearch.local_fixing_subgroup(proj, "x")
-    sy = autsearch.local_fixing_subgroup(proj, "y")
+    sx = autsearch.fixing_subgroup(proj, autsearch.local_spans(proj.scheme, "x"))
+    sy = autsearch.fixing_subgroup(proj, autsearch.local_spans(proj.scheme, "y"))
     # fixing the other vertex's affine patch pointwise leaves q(q-1)^2 elements
-    assert sx["order"] == sy["order"] == 12
+    assert sx[1] == sy[1] == 12
+    assert sx[0].order() == sy[0].order() == 12
+
+
+def test_local_spans_rejects_unknown_vertex():
+    with pytest.raises(ValueError):
+        autsearch.local_spans(model("toy", 2), "nowhere")
 
 
 def test_plane_pointwise_stabilizers_toy():
     proj = autsearch.proj_aut_group(model("toy", 3))
-    d = autsearch.plane_pointwise_stabilizer(proj, ["x", "y", "lx#1"])
-    c = autsearch.plane_pointwise_stabilizer(proj, ["x", "lx#1", "ly#1"])
-    assert d["order"] == 6  # q(q-1)
-    assert c["order"] == 2  # q-1
+    d = autsearch.fixing_subgroup(proj, [["x", "y", "lx#1"]])
+    # (0, 0, 1, 0) on this plane lies outside X: only the lift can fix it
+    c = autsearch.fixing_subgroup(proj, [["x", "lx#1", "ly#1"]])
+    assert d[1] == 6  # q(q-1)
+    assert c[1] == 2  # q-1
 
 
 def test_semilinear_part_appears_at_q4():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -149,3 +150,24 @@ def test_collineation_witnesses_are_json_data(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["witnesses"] == [{"matrix": [[0, 1], [1, 0]], "frob": 0}]
+
+
+@pytest.mark.parametrize("check,q", [("transroot", 5), ("transfund", 3)])
+def test_configuration_checks_refuse_large_q_at_once(capsys, check, q):
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", check, "-q", q)
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("graph,q,order", [("gamma2", 4, 552960), ("k3", 5, 372000)])
+def test_aut_reaches_large_groups(capsys, graph, q, order):
+    # listing either group would take seconds and hundreds of megabytes; `aut` reads the chains
+    start = time.monotonic()
+    code, out, _ = run(capsys, "aut", CORPUS / f"{graph}.lg", "-q", q, "--json")
+    assert time.monotonic() - start < 5
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["projective_order"] == payload["combinatorial_order"] == order
+    assert payload["equal"] is True

@@ -11,6 +11,7 @@ from loosegeo.permgroup import (
     intersection_order,
     inverse,
     pointwise_stabilizer,
+    transporter,
     verify_central_product,
 )
 
@@ -120,6 +121,16 @@ def test_pointwise_stabilizer_matches_closure(data):
     g = PermGroup(gens, n)
     fixing = [p for p in closure(gens, n) if all(p[x] == x for x in pts)]
     assert pointwise_stabilizer(g, pts).order() == len(fixing)
+
+
+@given(generator_sets(), st.data())
+def test_transporter_matches_closure(data, draw):
+    n, gens, pts = data
+    images = draw.draw(st.lists(st.integers(0, n - 1), min_size=len(pts), max_size=len(pts)))
+    found = transporter(PermGroup(gens, n), pts, images)
+    mapping = [p for p in closure(gens, n) if all(p[x] == y for x, y in zip(pts, images))]
+    assert (found is not None) == bool(mapping)
+    assert found is None or found in mapping
 
 
 @st.composite

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import product
+import random
 
 import pytest
 
@@ -75,6 +76,41 @@ def test_count_points_rejects_census_mismatch(monkeypatch):
     monkeypatch.setattr(SchemeModel, "point_count", lambda self, r=1: len(self.points) + 1)
     with pytest.raises(AssertionError):
         count_points(corpus_graph("toy"), [2])
+
+
+def listed_count_in_subspace(scheme, rows, r):
+    """The F_{q^r}-points of the span of rows in X, listed over GF(q^r) and
+    tested with the pieces' support masks.  For a prime q the integers
+    0..q-1 are GF(q) inside GF(q^r), so rows over GF(q) carry over as they
+    are."""
+    big = gfq.get_field(scheme.q ** r)
+    count = 0
+    for p in gfq.span_points(big, rows):
+        mask = scheme.support_mask(p)
+        if any(
+            mask == piece.support_mask if piece.kind == "gm"
+            else mask & ~piece.support_mask == 0 and mask >> piece.required_bit & 1
+            for piece in scheme.pieces
+        ):
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ["toy", "k3", "gamma1", "spider", "ve"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_count_in_subspace_matches_listing(name, q):
+    scheme = build_scheme(corpus_graph(name), q)
+    F = scheme.F
+    for r in (1, 2, 3):
+        big = gfq.get_field(q**r)
+        assert all(big.add(a, b) == (a + b) % q and big.mul(a, b) == a * b % q
+                   for a in range(q) for b in range(q))
+    rng = random.Random(f"{name}{q}")
+    ambient = list(gfq.projective_points(F, scheme.m))
+    for _ in range(6):
+        rows = gfq.echelon(F, rng.sample(ambient, rng.randint(1, 3)))
+        for r in (1, 2, 3):
+            assert scheme.count_in_subspace(rows, r) == listed_count_in_subspace(scheme, rows, r)
 
 
 def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
