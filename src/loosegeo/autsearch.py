@@ -599,7 +599,7 @@ def enumerate_fundaments(q: int, ends: bool = False) -> dict:
     lines = _pg_lines(F, 4)
     configs = set()
     for x, y, xy, A, B in _skew_line_pairs(F, lines):
-        if gfq.span_dim(F, list(A) + list(B)) != 4:
+        if gfq.mat_rank(F, list(A) + list(B)) != 4:
             continue
         if not ends:
             configs.add((A, xy, B))

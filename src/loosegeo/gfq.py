@@ -225,9 +225,9 @@ def _dot(F: FField, u, v) -> int:
 
 def echelon(F: FField, rows) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon basis of the row space (canonical, zero rows dropped)."""
+    add, mul, neg = F._add, F._mul, F._neg
     work = [list(r) for r in rows]
     ncols = len(work[0]) if work else 0
-    pivots = []
     r = 0
     for c in range(ncols):
         piv = None
@@ -238,13 +238,12 @@ def echelon(F: FField, rows) -> tuple[tuple[int, ...], ...]:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = F.inv(work[r][c])
-        work[r] = [F.mul(inv, x) for x in work[r]]
+        scale = mul[F.inv(work[r][c])]
+        work[r] = [scale[x] for x in work[r]]
         for i in range(len(work)):
             if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
+                minus = mul[neg[work[i][c]]]
+                work[i] = [add[x][minus[y]] for x, y in zip(work[i], work[r])]
         r += 1
         if r == len(work):
             break
@@ -253,6 +252,30 @@ def echelon(F: FField, rows) -> tuple[tuple[int, ...], ...]:
 
 def mat_rank(F: FField, rows) -> int:
     return len(echelon(F, rows))
+
+
+def subset_ranks(F: FField, vectors) -> list[int]:
+    """The rank of every subset of vectors, indexed by bitmask.  A subset's
+    semi-echelon basis (pivots with entry 1, each vector 0 at the pivots
+    before it) is that of the subset without its lowest vector, plus that
+    vector reduced against it unless it reduces to zero."""
+    add, mul, neg = F._add, F._mul, F._neg
+    bases: list[tuple] = [()]
+    for s in range(1, 1 << len(vectors)):
+        rest = s & (s - 1)
+        basis = bases[rest]
+        v = vectors[(s ^ rest).bit_length() - 1]
+        for pivot, b in basis:
+            if v[pivot]:
+                minus = mul[neg[v[pivot]]]
+                v = [add[x][minus[y]] for x, y in zip(v, b)]
+        for pivot, c in enumerate(v):
+            if c:
+                scale = mul[F.inv(c)]
+                basis += ((pivot, [scale[x] for x in v]),)
+                break
+        bases.append(basis)
+    return [len(basis) for basis in bases]
 
 
 def mat_inv(F: FField, M):
@@ -314,12 +337,6 @@ def pg_size(q: int, m: int) -> int:
     return (q**m - 1) // (q - 1)
 
 
-def span_dim(F: FField, vectors) -> int:
-    if not vectors:
-        return 0
-    return mat_rank(F, list(vectors))
-
-
 def span_points(F: FField, basis) -> list[tuple[int, ...]]:
     """The rational points of the projective span of the basis vectors, sorted."""
     pts = set()
@@ -331,9 +348,3 @@ def span_points(F: FField, basis) -> list[tuple[int, ...]]:
             vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
         pts.add(normalize_point(F, tuple(vec)))
     return sorted(pts)
-
-
-def in_span(F: FField, v: tuple[int, ...], basis) -> bool:
-    if not basis:
-        return all(c == 0 for c in v)
-    return mat_rank(F, list(basis)) == mat_rank(F, list(basis) + [v])

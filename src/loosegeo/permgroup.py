@@ -176,9 +176,10 @@ class PermGroup:
         return is_identity(self.sift(p))
 
     def coset_representatives(self) -> list[list[tuple[int, ...]]]:
-        """The transversals of the chain, top level first: every element is
-        u_0 u_1 ... u_k for exactly one choice of u_j from the j-th list."""
-        return [list(level.transversal.values()) for level in self._chain()]
+        """The transversals of the chain that hold more than the identity, top
+        level first: every element is u_0 u_1 ... u_k for exactly one choice
+        of u_j from the j-th list."""
+        return [list(lv.transversal.values()) for lv in self._chain() if len(lv.transversal) > 1]
 
     def elements(self):
         """All elements; only call when the order is known to be small."""

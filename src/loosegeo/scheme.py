@@ -6,10 +6,12 @@ neighbours with nonzero v-coordinate.  Every vertexless edge contributes a
 punctured line (its line minus the two coordinate points).
 
 Membership is therefore a pure support condition, which makes counting over
-any extension F_{q^r} exact: the number of points of a subspace W with
-support inside a coordinate set only depends on F_q-ranks of column
-submatrices of a basis of W, so extension counts are integer polynomial
-evaluations.  All containment and stability tests below ride on that.
+any extension F_{q^r} exact: the vectors of a subspace W over F_{q^r} with
+support inside a coordinate set S number x^(k - r_S), with x = q^r, k = dim W
+and r_S the F_q-rank of the columns off S of a basis of W.  So one integer
+polynomial in x (the count polynomial of W) counts the vectors of W with a
+good support, and divided by x - 1 it counts the points of W in the set at
+every degree.  All containment and stability tests below ride on that.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class SchemeModel:
         self.points = self._enumerate_points()
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self._profile_cache: dict = {}
-        self._dmap_cache: dict = {}
+        self._poly_cache: dict = {}
+        self._coeff_cache: dict = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -124,72 +127,64 @@ class SchemeModel:
 
     # -- counting over extensions -------------------------------------------
 
-    @staticmethod
-    def _cached(cache: dict, rows):
-        """The entry stored under rows as given, or None.  Caches are keyed by
-        canonical echelon bases, so a hit means rows is the canonical basis of
-        that subspace and no elimination is needed."""
-        if not isinstance(rows, tuple):
-            return None
-        try:
-            return cache.get(rows)
-        except TypeError:  # rows holds unhashable vectors
-            return None
-
-    def _dimension_map(self, rows) -> tuple[dict[int, int], list[int]]:
-        """For the subspace spanned by rows: dim of the trace on every
-        coordinate subset of the support union.  Keyed by the canonical basis.
-        """
-        cached = self._cached(self._dmap_cache, rows)
-        if cached is not None:
-            return cached
+    def _lookup(self, cache: dict, rows):
+        """The canonical echelon basis of the span of rows and its entry in
+        cache, or None.  Caches are keyed by canonical bases, so rows found
+        there as given are that basis and need no elimination."""
+        if isinstance(rows, tuple):
+            try:
+                hit = cache.get(rows)
+            except TypeError:  # rows holds unhashable vectors
+                hit = None
+            if hit is not None:
+                return rows, hit
         key = gfq.echelon(self.F, rows) if rows else ()
-        cached = self._dmap_cache.get(key)
-        if cached is not None:
-            return cached
-        F = self.F
-        basis = list(key)
-        k = len(basis)
-        union = 0
-        for row in basis:
-            union |= self.support_mask(row)
-        bits = [i for i in range(self.m) if union >> i & 1]
-        u = len(bits)
-        dmap: dict[int, int] = {}
-        for sub in range(1 << u):
-            outside = [i for j, i in enumerate(bits) if not sub >> j & 1]
-            if not outside or k == 0:
-                dmap[sub] = k
-                continue
-            cols = [tuple(row[i] for i in outside) for row in basis]
-            dmap[sub] = k - gfq.mat_rank(F, cols)
-        result = (dmap, bits)
-        self._dmap_cache[key] = result
-        return result
+        return key, cache.get(key)
+
+    def _count_polynomial(self, rows) -> tuple[int, ...]:
+        """Coefficients, lowest degree first, of the polynomial in x = q^r
+        counting the vectors of the span of rows over F_{q^r} with a good
+        support: sum_S c_S x^(k - rank(union - S)) over the subsets S of the
+        support union, k the dimension, ranks taken over basis columns."""
+        key, poly = self._lookup(self._poly_cache, rows)
+        if poly is None:
+            cols = list(zip(*key))
+            union = sum(1 << i for i, col in enumerate(cols) if any(col))
+            ranks = gfq.subset_ranks(self.F, [col for col in cols if any(col)])
+            k = len(key)
+            poly = [0] * (k + 1)
+            for s, c in enumerate(self._support_coefficients(union)):
+                poly[k - ranks[-1 - s]] += c  # index -1 - s is union - S
+            poly = self._poly_cache[key] = tuple(poly)
+        return poly
+
+    def _support_coefficients(self, union: int) -> list[int]:
+        """c_S = sum of (-1)^|T - S| over the good supports T with S <= T <=
+        union, for every S inside union, indexed by S's bits among union's:
+        the superset Moebius transform of the good supports in union."""
+        coeffs = self._coeff_cache.get(union)
+        if coeffs is None:
+            masks = [0]
+            for i in range(self.m):
+                if union >> i & 1:
+                    masks += [mask | 1 << i for mask in masks]
+            coeffs = [int(mask in self._good_supports) for mask in masks]
+            bit = 1
+            while bit < len(coeffs):
+                for s in range(len(coeffs)):
+                    if not s & bit:
+                        coeffs[s] -= coeffs[s | bit]
+                bit <<= 1
+            self._coeff_cache[union] = coeffs
+        return coeffs
 
     def count_in_subspace(self, rows, r: int) -> int:
         """Number of F_{q^r}-points of the subspace spanned by rows that lie
         in the scheme's point set."""
-        if not rows:
-            return 0
-        dmap, bits = self._dimension_map(rows)
-        u = len(bits)
+        if r < 1:
+            raise ValueError(f"extension degree must be at least 1, got {r}")
         x = self.q**r
-        f = [x ** dmap[s] for s in range(1 << u)]
-        # Moebius transform: f[T] becomes the count of vectors with support exactly T
-        for j in range(u):
-            bit = 1 << j
-            for s in range(1 << u):
-                if s & bit:
-                    f[s] -= f[s ^ bit]
-        total = 0
-        for s in range(1, 1 << u):
-            mask = 0
-            for j in range(u):
-                if s >> j & 1:
-                    mask |= 1 << bits[j]
-            if mask in self._good_supports:
-                total += f[s]
+        total = sum(c * x**d for d, c in enumerate(self._count_polynomial(rows)))
         if total % (x - 1):
             raise AssertionError(f"{total} affine points do not form projective points over F_{x}")
         return total // (x - 1)
@@ -208,10 +203,7 @@ class SchemeModel:
         The default (and cache key) runs to m+1 so extension stability at one
         degree beyond the ambient bound is always visible.
         """
-        full = self._cached(self._profile_cache, rows)
-        if full is None:
-            key = gfq.echelon(self.F, rows) if rows else ()
-            full = self._profile_cache.get(key)
+        key, full = self._lookup(self._profile_cache, rows)
         if full is None:
             full = tuple(self.count_in_subspace(key, r) for r in range(1, self.m + 2))
             self._profile_cache[key] = full
@@ -373,9 +365,9 @@ def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
         level = set()
         for basis in survivors:
             for p in scheme.points:
-                if gfq.in_span(scheme.F, p, basis):
-                    continue
-                level.add(gfq.echelon(scheme.F, basis + (p,)))
+                grown = gfq.echelon(scheme.F, basis + (p,))
+                if len(grown) > k:
+                    level.add(grown)
     for d in projective:
         projective[d].sort()
     affine.sort(key=lambda a: (a.dim, a.basis))

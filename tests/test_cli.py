@@ -1,8 +1,13 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+from loosegeo import cli
 from loosegeo.cli import main
 from conftest import CORPUS
 
@@ -171,3 +176,22 @@ def test_aut_reaches_large_groups(capsys, graph, q, order):
     payload = json.loads(out)
     assert payload["projective_order"] == payload["combinatorial_order"] == order
     assert payload["equal"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "rules", CORPUS / "spider.lg", "-q", 3),
+    ("lines", CORPUS / "toy.lg", "-q", 3),
+])
+def test_output_is_the_same_without_asserts(argv):
+    """`python -O` strips assert statements, so no check on the counting
+    path may rely on one: the exit code and output must not change."""
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys; from loosegeo.cli import main; sys.exit(main(sys.argv[1:]))"
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-c", code, *map(str, argv)],
+                       capture_output=True, text=True, env=env, timeout=120)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == 0 and plain.stdout
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)

@@ -51,7 +51,7 @@ def test_echelon_preserves_span(extra, rows):
     ech = gfq.echelon(F, rows)
     assert gfq.mat_rank(F, rows) == len(ech)
     for r in rows:
-        assert gfq.in_span(F, r, ech) or all(c == 0 for c in r)
+        assert gfq.mat_rank(F, list(ech) + [r]) == len(ech)
 
 
 @pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (4, 3)])
@@ -119,3 +119,23 @@ def test_null_space_matches_brute_force(system):
 def test_null_space_of_no_rows_is_everything():
     F = gfq.get_field(3)
     assert gfq.null_space(F, [], 2) == [(1, 0), (0, 1)]
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 3), st.data())
+def test_subset_ranks_match_span_sizes(q, length, data):
+    """The rank of each subset is log_q of the number of vectors it spans,
+    listed over all coefficient tuples."""
+    F = gfq.get_field(q)
+    entry = st.integers(0, q - 1)
+    vectors = data.draw(st.lists(st.tuples(*[entry] * length), max_size=4))
+    ranks = gfq.subset_ranks(F, vectors)
+    assert len(ranks) == 1 << len(vectors)
+    for s, rank in enumerate(ranks):
+        chosen = [v for j, v in enumerate(vectors) if s >> j & 1]
+        spanned = set()
+        for coeffs in product(range(q), repeat=len(chosen)):
+            vec = (0,) * length
+            for c, v in zip(coeffs, chosen):
+                vec = gfq.vec_add(F, vec, gfq.vec_scale(F, c, v))
+            spanned.add(vec)
+        assert len(spanned) == q**rank

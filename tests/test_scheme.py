@@ -3,6 +3,7 @@ from itertools import product
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from loosegeo import gfq
 from loosegeo.scheme import (
@@ -17,6 +18,8 @@ from loosegeo.scheme import (
     subgraph_span_dim,
 )
 from conftest import corpus_graph
+from test_autsearch import small_scheme
+from test_formats import loose_graphs
 
 
 def brute_points(graph, q):
@@ -111,6 +114,89 @@ def test_count_in_subspace_matches_listing(name, q):
         rows = gfq.echelon(F, rng.sample(ambient, rng.randint(1, 3)))
         for r in (1, 2, 3):
             assert scheme.count_in_subspace(rows, r) == listed_count_in_subspace(scheme, rows, r)
+
+
+def reference_count_in_subspace(scheme, rows, r):
+    """The count by the earlier route: the dimension of the span's trace on
+    every coordinate subset of its support union, one elimination each, then
+    the Moebius transform over the subsets at x = q^r, summed over the good
+    supports."""
+    F = scheme.F
+    basis = list(gfq.echelon(F, rows))
+    k = len(basis)
+    union = 0
+    for row in basis:
+        union |= scheme.support_mask(row)
+    bits = [i for i in range(scheme.m) if union >> i & 1]
+    u = len(bits)
+    dmap = {}
+    for sub in range(1 << u):
+        outside = [i for j, i in enumerate(bits) if not sub >> j & 1]
+        if not outside or k == 0:
+            dmap[sub] = k
+            continue
+        dmap[sub] = k - gfq.mat_rank(F, [tuple(row[i] for i in outside) for row in basis])
+    x = scheme.q**r
+    f = [x ** dmap[s] for s in range(1 << u)]
+    for j in range(u):
+        bit = 1 << j
+        for s in range(1 << u):
+            if s & bit:
+                f[s] -= f[s ^ bit]
+    total = 0
+    for s in range(1, 1 << u):
+        mask = sum(1 << bits[j] for j in range(u) if s >> j & 1)
+        if mask in scheme._good_supports:
+            total += f[s]
+    if total % (x - 1):
+        raise AssertionError(f"{total} affine points over F_{x}")
+    return total // (x - 1)
+
+
+def random_rows(rng, scheme, dim):
+    """dim vectors, each a rational point of the scheme or a random vector
+    of the ambient space (which mostly has full support)."""
+    q, m = scheme.q, scheme.m
+    return [
+        rng.choice(scheme.points) if rng.random() < 0.5
+        else tuple(rng.randrange(q) for _ in range(m))
+        for _ in range(dim)
+    ]
+
+
+def assert_profile_matches_reference(scheme, rows):
+    expected = tuple(reference_count_in_subspace(scheme, rows, r) for r in range(1, scheme.m + 2))
+    assert scheme.profile(rows) == expected
+
+
+@pytest.mark.parametrize("name", ["toy", "spider", "gamma2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_profile_matches_reference_on_random_spans(name, q):
+    scheme = build_scheme(corpus_graph(name), q)
+    m = scheme.m
+    rng = random.Random(f"{name}{q}")
+    full = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    assert_profile_matches_reference(scheme, full)
+    for dim in range(1, m + 1):
+        for _ in range(2):
+            assert_profile_matches_reference(scheme, random_rows(rng, scheme, dim))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4, 5]), st.randoms(use_true_random=False))
+def test_profile_matches_reference_on_random_graphs(g, q, rng):
+    scheme = small_scheme(g, q)
+    for dim in range(1, scheme.m + 1):
+        assert_profile_matches_reference(scheme, random_rows(rng, scheme, dim))
+
+
+def test_count_in_subspace_rejects_degrees_below_one():
+    scheme = build_scheme(corpus_graph("toy"), 3)
+    rows = ((1, 0, 0, 0),)
+    assert scheme.count_in_subspace(rows, 1) == 1
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            scheme.count_in_subspace(rows, r)
 
 
 def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
