@@ -24,8 +24,8 @@ part are read off them, and the element lists are listed on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import product
+from functools import cached_property
+from itertools import combinations, permutations, product
 from math import gcd
 
 from . import gfq
@@ -472,39 +472,50 @@ def inner_graph_property(scheme: SchemeModel, perms) -> dict:
 # -- configurations in PG(3, q) ----------------------------------------------
 
 
-def _pg_lines(F: gfq.FField, m: int):
-    pts = list(gfq.projective_points(F, m))
-    lines = {}
-    for i, p in enumerate(pts):
-        for p2 in pts[i + 1:]:
-            key = gfq.echelon(F, (p, p2))
-            if key not in lines:
-                lines[key] = frozenset(line_rational_points(F, (p, p2)))
-    return lines
-
-
 def _pgl_generators(F: gfq.FField, m: int):
-    alpha = None
-    for c in range(2, F.q):
-        seen, x = set(), c
-        while x not in seen:
-            seen.add(x)
-            x = F.mul(x, c)
-        if len(seen) == F.q - 1:
-            alpha = c
-            break
-    if alpha is None:
-        alpha = 1
-    ident = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    cyc = tuple(tuple(1 if j == (i + 1) % m else 0 for j in range(m)) for i in range(m))
-    trans = [row[:] for row in ident]
-    trans[0][1] = 1
-    diag = [row[:] for row in ident]
-    diag[0][0] = alpha
-    gens = [cyc, tuple(tuple(r) for r in trans)]
-    if alpha != 1:
-        gens.append(tuple(tuple(r) for r in diag))
+    """Matrices generating PGL(m, q): the cyclic shift of the coordinates, a
+    transvection and, for q > 2, diag(alpha, 1, ..., 1) with alpha primitive."""
+    rows = [_basis_vec(m, i) for i in range(m)]
+    gens = [tuple(rows[1:] + rows[:1]), ((1, 1) + rows[0][2:], *rows[1:])]
+    for alpha in range(2, F.q):
+        if len({F.pow(alpha, k) for k in range(F.q - 1)}) == F.q - 1:
+            return gens + [((alpha,) + rows[0][1:], *rows[1:])]
     return gens
+
+
+class _Space:
+    """PG(3, q) numbered once: points 0..P-1 in `gfq.projective_points`
+    order, lines P.. with their point ids in `lines`, the line of two points
+    in `line_of` and the lines through each point in `through`.  `generators`
+    maps each generator of PGammaL(4, q) to its permutation of all the ids;
+    the points' part is `collineation_point_perm` with the space as scheme."""
+
+    def __init__(self, q: int):
+        F = self.F = gfq.get_field(q)
+        self.points = list(gfq.projective_points(F, 4))
+        self.point_index = {p: i for i, p in enumerate(self.points)}
+        P = len(self.points)
+        self.lines: dict[int, frozenset] = {}
+        self.line_of: dict[tuple[int, int], int] = {}
+        self.through: list[list[int]] = [[] for _ in range(P)]
+        for x, y in combinations(range(P), 2):
+            if (x, y) not in self.line_of:
+                L = P + len(self.lines)
+                line = line_rational_points(F, (self.points[x], self.points[y]))
+                pts = self.lines[L] = frozenset(self.point_index[p] for p in line)
+                for a in pts:
+                    self.through[a].append(L)
+                    self.line_of.update(((a, b), L) for b in pts if b != a)
+        line_id = {pts: L for L, pts in self.lines.items()}
+        gens = [Collineation(M) for M in _pgl_generators(F, 4)]
+        if F.e > 1:
+            gens.append(Collineation(tuple(_basis_vec(4, i) for i in range(4)), 1))
+        self.generators = {}
+        for g in gens:
+            perm = collineation_point_perm(self, g)
+            self.generators[g] = perm + tuple(
+                line_id[frozenset(perm[a] for a in pts)] for pts in self.lines.values()
+            )
 
 
 MAX_CONFIGURATION_WORK = 10**6
@@ -523,23 +534,19 @@ def _bound_configuration_work(q: int, per_pair: int) -> None:
         )
 
 
-def _skew_line_pairs(F: gfq.FField, lines: dict):
-    """Every (x, y, xy, A, B) in PG(3, q): distinct points x and y, their
-    line xy, and disjoint lines A through x and B through y, both other than
-    xy; `lines` maps each line of PG(3, q) to its rational points."""
-    pts = list(gfq.projective_points(F, 4))
-    through = {p: [k for k, s in lines.items() if p in s] for p in pts}
-    for x in pts:
-        for y in pts:
-            if x == y:
+def _skew_line_pairs(space: _Space):
+    """Every (x, y, xy, A, B) in PG(3, q), as ids: distinct points x and y,
+    their line xy, and disjoint lines A through x and B through y, both
+    other than xy."""
+    lines = space.lines
+    for x, y in permutations(range(len(space.points)), 2):
+        xy = space.line_of[x, y]
+        for A in space.through[x]:
+            if A == xy:
                 continue
-            xy = gfq.echelon(F, (x, y))
-            for A in through[x]:
-                if A == xy:
-                    continue
-                for B in through[y]:
-                    if B != xy and not lines[A] & lines[B]:
-                        yield x, y, xy, A, B
+            for B in space.through[y]:
+                if B != xy and not lines[A] & lines[B]:
+                    yield x, y, xy, A, B
 
 
 def enumerate_roots(q: int) -> dict:
@@ -548,31 +555,22 @@ def enumerate_roots(q: int) -> dict:
     xy, with Y and X disjoint.  Reports the count and transitivity of the
     semilinear group on them."""
     _bound_configuration_work(q, 1)
-    F = gfq.get_field(q)
-    roots = {(x, y, Y, X) for x, y, _, Y, X in _skew_line_pairs(F, _pg_lines(F, 4))}
-    return _orbit_report(F, 4, roots)
+    space = _Space(q)
+    roots = {(x, y, Y, X) for x, y, _, Y, X in _skew_line_pairs(space)}
+    return _orbit_report(space, roots)
 
 
-def _map_config(F: gfq.FField, f, config):
-    """Each point and line of a configuration mapped by the vector map f."""
-    return tuple(
-        gfq.echelon(F, tuple(f(r) for r in part)) if isinstance(part[0], tuple)
-        else gfq.normalize_point(F, f(part))
-        for part in config
-    )
-
-
-def _orbit_report(F, m, configs) -> dict:
-    maps = [partial(gfq.mat_vec, F, M) for M in _pgl_generators(F, m)]
-    if F.e > 1:
-        maps.append(partial(frobenius_vec, F, t=1))
+def _orbit_report(space: _Space, configs) -> dict:
+    """The orbit of one configuration, a tuple of ids, under the generators
+    of PGammaL(4, q), found breadth first, against the whole set."""
     start = next(iter(configs))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for cfg in frontier:
-            for img in (_map_config(F, f, cfg) for f in maps):
+            for g in space.generators.values():
+                img = tuple(g[x] for x in cfg)
                 if img not in seen:
                     if img not in configs:
                         raise AssertionError("orbit left the configuration set")
@@ -590,21 +588,20 @@ def enumerate_fundaments(q: int, ends: bool = False) -> dict:
     """All configurations (alpha, xy, beta) of three lines in PG(3, q) forming
     a path spanning the space: alpha meets xy exactly in a point x, beta meets
     xy exactly in a different point y, alpha and beta are disjoint, and the
-    six points involved span PG(3, q).
+    six points involved span PG(3, q).  The last condition follows from the
+    others: disjoint lines share no rational point, hence no nonzero vector,
+    so their two planes in F_q^4 meet in zero and together span it.
 
     With `ends`, each configuration additionally carries one marked point on
     alpha away from x and one on beta away from y."""
     _bound_configuration_work(q, q * q if ends else 1)
-    F = gfq.get_field(q)
-    lines = _pg_lines(F, 4)
+    space = _Space(q)
     configs = set()
-    for x, y, xy, A, B in _skew_line_pairs(F, lines):
-        if gfq.mat_rank(F, list(A) + list(B)) != 4:
-            continue
+    for x, y, xy, A, B in _skew_line_pairs(space):
         if not ends:
             configs.add((A, xy, B))
             continue
-        for c in lines[A] - {x}:
-            for d in lines[B] - {y}:
+        for c in space.lines[A] - {x}:
+            for d in space.lines[B] - {y}:
                 configs.add((A, xy, B, c, d))
-    return _orbit_report(F, 4, configs)
+    return _orbit_report(space, configs)

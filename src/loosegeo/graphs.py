@@ -37,6 +37,7 @@ class LooseGraph:
     def __init__(self, vertices=(), edges=None):
         self.vertices: list[str] = []
         self.edges: dict[str, tuple[str | None, str | None]] = {}
+        self._completion: Completion | None = None
         for v in vertices:
             self.add_vertex(v)
         if edges:
@@ -47,6 +48,7 @@ class LooseGraph:
         if name in self.vertices:
             raise ValueError(f"duplicate vertex {name!r}")
         self.vertices.append(name)
+        self._completion = None
 
     def add_edge(self, name: str, a: str | None, b: str | None) -> None:
         if name in self.edges:
@@ -61,6 +63,7 @@ class LooseGraph:
                 if {x, y} == {a, b}:
                     raise ValueError(f"edge {name!r} duplicates edge {e!r}")
         self.edges[name] = (a, b)
+        self._completion = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -137,7 +140,10 @@ class LooseGraph:
     # -- completion ---------------------------------------------------------
 
     def completion(self) -> "Completion":
-        return Completion(self)
+        """Built on first call after the last `add_vertex` or `add_edge`."""
+        if self._completion is None:
+            self._completion = Completion(self)
+        return self._completion
 
     def complement_graph(self) -> "LooseGraph":
         """Complement inside the completion.

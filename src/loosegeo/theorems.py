@@ -26,28 +26,6 @@ from .scheme import (
     decompose,
 )
 
-CHECK_IDS = (
-    "functoriality",
-    "transroot",
-    "transfund",
-    "ddc",
-    "toy-equal",
-    "thmcp",
-    "kernel-trivial",
-    "cenprod",
-    "inner-tree",
-    "lemfield-quotient",
-    "mttrees",
-    "autcomb-eq",
-    "obs-subspaces",
-    "convexity",
-    "span-lemma",
-    "decompose",
-    "igp",
-    "rules",
-)
-
-
 @dataclass
 class TheoremReport:
     theorem: str
@@ -265,7 +243,7 @@ def random_composable_pairs(count: int = 100, seed: int = 0xF1F1):
     return pairs
 
 
-def _check_functoriality(graph, q, options) -> TheoremReport:
+def _check_functoriality(ctx: Context, options) -> TheoremReport:
     seed = (options or {}).get("seed", 0xF1F1)
     count = (options or {}).get("count", 100)
     checked = 0
@@ -302,13 +280,15 @@ def _check_functoriality(graph, q, options) -> TheoremReport:
 # -- configuration transitivity ------------------------------------------------
 
 
-def _check_transroot(graph, q, options) -> TheoremReport:
+def _check_transroot(ctx: Context, options) -> TheoremReport:
+    q = ctx.q or 2
     rep = autsearch.enumerate_roots(q)
     verdict = "pass" if rep["transitive"] else "fail"
     return TheoremReport("transroot", "PG(3,%d)" % q, q, verdict, rep)
 
 
-def _check_transfund(graph, q, options) -> TheoremReport:
+def _check_transfund(ctx: Context, options) -> TheoremReport:
+    q = ctx.q or 2
     with_ends = autsearch.enumerate_fundaments(q, ends=True)  # the larger one is refused first
     plain = autsearch.enumerate_fundaments(q)
     ok = plain["transitive"] and with_ends["transitive"]
@@ -340,7 +320,7 @@ def _toy_shape(graph: LooseGraph):
     return x, y, endx, endy
 
 
-def _check_ddc(ctx: Context) -> TheoremReport:
+def _check_ddc(ctx: Context, options) -> TheoremReport:
     shape = _toy_shape(ctx.graph)
     if shape is None:
         raise ValueError("ddc requires the two-vertex graph with one loose edge per vertex")
@@ -394,7 +374,7 @@ def _overlaps(rep: dict) -> list[dict]:
     ]
 
 
-def _check_thmcp(ctx: Context) -> TheoremReport:
+def _check_thmcp(ctx: Context, options) -> TheoremReport:
     shape = _toy_shape(ctx.graph)
     if shape is None:
         raise ValueError("thmcp requires the two-vertex graph with one loose edge per vertex")
@@ -423,7 +403,7 @@ def _check_thmcp(ctx: Context) -> TheoremReport:
 # -- tree checks ----------------------------------------------------------------
 
 
-def _check_kernel_trivial(ctx: Context) -> TheoremReport:
+def _check_kernel_trivial(ctx: Context, options) -> TheoremReport:
     witnesses = ctx.proj.faithful_witnesses()
     return TheoremReport(
         "kernel-trivial",
@@ -439,7 +419,7 @@ def _skip(theorem: str, ctx: Context, reason: str) -> TheoremReport:
     return TheoremReport(theorem, ctx.name, ctx.q, "skip", {}, [], reason)
 
 
-def _check_cenprod(ctx: Context) -> TheoremReport:
+def _check_cenprod(ctx: Context, options) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("cenprod", ctx, "needs at least two inner vertices")
     factors = [
@@ -473,7 +453,7 @@ def _inner_action(ctx: Context, group: PermGroup):
     return PermGroup(gens, len(idxs)), None
 
 
-def _check_inner_tree(ctx: Context) -> TheoremReport:
+def _check_inner_tree(ctx: Context, options) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("inner-tree", ctx, "needs at least two inner vertices")
     induced, witness = _inner_action(ctx, ctx.proj.perm_group)
@@ -500,7 +480,7 @@ def _check_inner_tree(ctx: Context) -> TheoremReport:
     return TheoremReport("inner-tree", ctx.name, ctx.q, "pass" if ok else "fail", quantities)
 
 
-def _check_lemfield(ctx: Context) -> TheoremReport:
+def _check_lemfield(ctx: Context, options) -> TheoremReport:
     F = ctx.scheme.F
     quotient = ctx.proj.order // ctx.proj.linear_order
     quantities = {
@@ -514,7 +494,7 @@ def _check_lemfield(ctx: Context) -> TheoremReport:
     return TheoremReport("lemfield-quotient", ctx.name, ctx.q, "pass", quantities)
 
 
-def _check_mttrees(ctx: Context) -> TheoremReport:
+def _check_mttrees(ctx: Context, options) -> TheoremReport:
     if not ctx.graph.is_tree():
         raise ValueError("mttrees requires a loose tree")
     if len(ctx.inner) < 2:
@@ -565,7 +545,7 @@ def _subspace_point_sets(scheme: SchemeModel):
     return sets
 
 
-def _check_obs_subspaces(ctx: Context) -> TheoremReport:
+def _check_obs_subspaces(ctx: Context, options) -> TheoremReport:
     sets = _subspace_point_sets(ctx.scheme)
     gens = ctx.comb.perm_group.generators or [tuple(range(len(ctx.scheme.points)))]
     witnesses = []
@@ -586,7 +566,7 @@ def _check_obs_subspaces(ctx: Context) -> TheoremReport:
     )
 
 
-def _check_convexity(ctx: Context) -> TheoremReport:
+def _check_convexity(ctx: Context, options) -> TheoremReport:
     if not ctx.graph.is_tree():
         raise ValueError("convexity requires a loose tree")
     rep = convexity_check(ctx.scheme)
@@ -598,7 +578,7 @@ def _check_convexity(ctx: Context) -> TheoremReport:
     )
 
 
-def _check_span_lemma(ctx: Context) -> TheoremReport:
+def _check_span_lemma(ctx: Context, options) -> TheoremReport:
     comp = ctx.scheme.completion
     names = comp.names
     real = set(ctx.graph.vertices)
@@ -629,7 +609,7 @@ def _check_span_lemma(ctx: Context) -> TheoremReport:
     )
 
 
-def _check_decompose(ctx: Context) -> TheoremReport:
+def _check_decompose(ctx: Context, options) -> TheoremReport:
     rep = decompose(ctx.scheme)
     total = sum(rep["sizes"])
     ok = rep["disjoint"] and total == rep["ambient_size"]
@@ -640,7 +620,7 @@ def _check_decompose(ctx: Context) -> TheoremReport:
     )
 
 
-def _check_igp(ctx: Context, options=None) -> TheoremReport:
+def _check_igp(ctx: Context, options) -> TheoremReport:
     if len(ctx.inner) < 2:
         return _skip("igp", ctx, "needs at least two inner vertices")
     expected = True if options is None else options.get("expected", True)
@@ -741,40 +721,41 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
 # -- dispatch ----------------------------------------------------------------------
 
 
+# Every check by id, in suite order: whether it needs a graph and q, and the
+# check of a cell and the options.  functoriality, transroot and transfund
+# are global: they ignore the graph, and the last two default to q = 2.
+CHECKS = {
+    "functoriality": (False, _check_functoriality),
+    "transroot": (False, _check_transroot),
+    "transfund": (False, _check_transfund),
+    "ddc": (True, _check_ddc),
+    "toy-equal": (True, lambda ctx, options: _check_groups_equal(ctx, "toy-equal")),
+    "thmcp": (True, _check_thmcp),
+    "kernel-trivial": (True, _check_kernel_trivial),
+    "cenprod": (True, _check_cenprod),
+    "inner-tree": (True, _check_inner_tree),
+    "lemfield-quotient": (True, _check_lemfield),
+    "mttrees": (True, _check_mttrees),
+    "autcomb-eq": (True, lambda ctx, options: _check_groups_equal(ctx, "autcomb-eq")),
+    "obs-subspaces": (True, _check_obs_subspaces),
+    "convexity": (True, _check_convexity),
+    "span-lemma": (True, _check_span_lemma),
+    "decompose": (True, _check_decompose),
+    "igp": (True, _check_igp),
+    "rules": (True, lambda ctx, options: check_rules(ctx.graph, ctx.q, ctx.name)),
+}
+CHECK_IDS = tuple(CHECKS)
+
+
 def verify(theorem: str, graph: LooseGraph | None, q: int | None = None,
            name: str = "graph", options: dict | None = None,
            context: Context | None = None) -> TheoremReport:
-    if theorem not in CHECK_IDS:
+    if theorem not in CHECKS:
         raise ValueError(f"unknown check {theorem!r}")
-    if theorem == "functoriality":
-        return _check_functoriality(graph, q, options)
-    if theorem == "transroot":
-        return _check_transroot(graph, q or 2, options)
-    if theorem == "transfund":
-        return _check_transfund(graph, q or 2, options)
-    if graph is None or q is None:
+    needs_graph, check = CHECKS[theorem]
+    if needs_graph and (graph is None or q is None):
         raise ValueError(f"check {theorem!r} needs a graph and q")
-    if theorem == "rules":
-        return check_rules(graph, q, name)
-    ctx = context if context is not None else Context(graph, q, name)
-    handlers = {
-        "ddc": _check_ddc,
-        "thmcp": _check_thmcp,
-        "kernel-trivial": _check_kernel_trivial,
-        "cenprod": _check_cenprod,
-        "inner-tree": _check_inner_tree,
-        "lemfield-quotient": _check_lemfield,
-        "mttrees": _check_mttrees,
-        "obs-subspaces": _check_obs_subspaces,
-        "convexity": _check_convexity,
-        "span-lemma": _check_span_lemma,
-        "decompose": _check_decompose,
-    }
-    if theorem == "igp":
-        return _check_igp(ctx, options)
-    if theorem in ("toy-equal", "autcomb-eq"):
-        return _check_groups_equal(ctx, theorem)
-    return handlers[theorem](ctx)
+    return check(context if context is not None else Context(graph, q, name), options)
 
 
 def run_suite(entries, qs=(2, 3)) -> dict:

@@ -356,3 +356,75 @@ def test_fundaments_single_orbit_q2():
     assert plain == {"count": 5040, "orbit_size": 5040, "transitive": True}
     ends = autsearch.enumerate_fundaments(2, ends=True)
     assert ends == {"count": 20160, "orbit_size": 20160, "transitive": True}
+
+
+def test_roots_and_fundaments_single_orbit_q3():
+    # (q^3+q^2+q+1)(q^3+q^2+q)(q^2+q)q^2 of each
+    expected = {"count": 168480, "orbit_size": 168480, "transitive": True}
+    assert autsearch.enumerate_roots(3) == expected
+    assert autsearch.enumerate_fundaments(3) == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_space_generators_act_as_pgammal(q):
+    space = autsearch._Space(q)
+    n = len(space.points)
+    group = permgroup.PermGroup([g[:n] for g in space.generators.values()], n)
+    assert group.order() == pgammal_order(4, q)  # 20,160, 12,130,560, 1,974,067,200
+
+
+def map_config(F, g, config):
+    """A configuration of normalized points and echelon line bases mapped
+    by the collineation g on coordinate vectors, each line row-reduced
+    again: the reference for the id permutations of `autsearch._Space`."""
+
+    def f(v):
+        return gfq.mat_vec(F, g.matrix, autsearch.frobenius_vec(F, v, g.frob))
+
+    return tuple(
+        gfq.echelon(F, tuple(f(r) for r in part)) if isinstance(part[0], tuple)
+        else gfq.normalize_point(F, f(part))
+        for part in config
+    )
+
+
+def assert_id_action_matches_vectors(space, configs):
+    """Every generator's id permutation, translated back to vectors, agrees
+    with `map_config` on every configuration."""
+    F = space.F
+    vectors = space.points + [
+        gfq.echelon(F, [space.points[i] for i in sorted(pts)]) for pts in space.lines.values()
+    ]
+    assert list(space.lines) == list(range(len(space.points), len(vectors)))
+    for g, perm in space.generators.items():
+        for cfg in configs:
+            image = tuple(vectors[perm[i]] for i in cfg)
+            assert image == map_config(F, g, tuple(vectors[i] for i in cfg))
+
+
+def enumerated_configurations(monkeypatch, enumerate_configs, *args):
+    """The space and the configuration set an enumeration hands to its
+    orbit search."""
+    captured = []
+    monkeypatch.setattr(autsearch, "_orbit_report", lambda *a: captured.append(a))
+    enumerate_configs(*args)
+    return captured[0]
+
+
+def test_id_action_matches_vectors_on_configurations_q2(monkeypatch):
+    space, roots = enumerated_configurations(monkeypatch, autsearch.enumerate_roots, 2)
+    assert len(roots) == 5040
+    assert_id_action_matches_vectors(space, roots)
+    space, fundaments = enumerated_configurations(
+        monkeypatch, autsearch.enumerate_fundaments, 2, True
+    )
+    assert len(fundaments) == 20160
+    assert_id_action_matches_vectors(space, fundaments)
+
+
+def test_id_action_matches_vectors_on_points_and_lines_q4():
+    space = autsearch._Space(4)
+    assert len(space.points) == 85 and len(space.lines) == 357
+    assert {g.frob for g in space.generators} == {0, 1}
+    n = len(space.points) + len(space.lines)
+    assert_id_action_matches_vectors(space, [(i,) for i in range(n)])

@@ -36,6 +36,19 @@ def test_completion_ordering_and_fresh_names():
     assert not comp.adjacent("lx#1", "ly#1")
 
 
+def test_completion_is_rebuilt_after_each_mutation():
+    g = LooseGraph(["a", "b"])
+    first = g.completion()
+    assert g.completion() is first
+    g.add_edge("l", "a", None)
+    second = g.completion()
+    assert second is not first and first.names == ["a", "b"]
+    assert second.names == ["a", "b", fresh_name("l", 1)]
+    g.add_vertex("c")
+    assert g.completion() is not second
+    assert g.completion().names == ["a", "b", "c", fresh_name("l", 1)]
+
+
 def test_is_tree():
     assert corpus_graph("p4").is_tree()
     assert toy().is_tree()

@@ -14,6 +14,11 @@ def test_verify_requires_graph_for_local_checks():
         theorems.verify("ddc", None, 2)
 
 
+def test_global_checks_need_no_graph():
+    rep = theorems.verify("transroot", None)
+    assert (rep.q, rep.verdict, rep.quantities["count"]) == (2, "pass", 5040)
+
+
 def test_ddc_quantities():
     rep = theorems.verify("ddc", corpus_graph("toy"), 3, "toy")
     assert rep.verdict == "pass"
