@@ -562,7 +562,9 @@ def enumerate_roots(q: int) -> dict:
 
 def _orbit_report(space: _Space, configs) -> dict:
     """The orbit of one configuration, a tuple of ids, under the generators
-    of PGammaL(4, q), found breadth first, against the whole set."""
+    of PGammaL(4, q), found breadth first, against the whole set.  An image
+    outside the set means the enumeration or the action is wrong: the
+    search stops there and reports it as `stray`, not transitive."""
     start = next(iter(configs))
     seen = {start}
     frontier = [start]
@@ -573,7 +575,8 @@ def _orbit_report(space: _Space, configs) -> dict:
                 img = tuple(g[x] for x in cfg)
                 if img not in seen:
                     if img not in configs:
-                        raise AssertionError("orbit left the configuration set")
+                        return {"count": len(configs), "orbit_size": len(seen),
+                                "transitive": False, "stray": img}
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt

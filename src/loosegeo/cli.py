@@ -171,7 +171,8 @@ def cmd_verify(args) -> int:
         return 2
     payload = {
         "theorem": rep.theorem, "verdict": rep.verdict,
-        "quantities": rep.quantities, "witnesses": rep.witnesses, "detail": rep.detail,
+        "quantities": rep.quantities, "seconds": rep.seconds,
+        "witnesses": rep.witnesses, "detail": rep.detail,
     }
     text = [_report_line(rep)]
     for key, value in rep.quantities.items():
@@ -192,7 +193,7 @@ def cmd_suite(args) -> int:
         "ok": result["ok"],
         "reports": [
             {"theorem": r.theorem, "graph": r.graph, "q": r.q,
-             "verdict": r.verdict, "quantities": r.quantities}
+             "verdict": r.verdict, "quantities": r.quantities, "seconds": r.seconds}
             for r in result["reports"]
         ],
     }

@@ -358,6 +358,30 @@ def test_fundaments_single_orbit_q2():
     assert ends == {"count": 20160, "orbit_size": 20160, "transitive": True}
 
 
+def test_orbit_leaving_the_set_is_a_failed_check(monkeypatch):
+    from loosegeo import theorems
+
+    init = autsearch._Space.__init__
+
+    def broken(self, q):
+        # one generator also swaps the first point id with the first line id,
+        # so some configuration maps onto a tuple outside the set
+        init(self, q)
+        g = next(iter(self.generators))
+        perm = list(self.generators[g])
+        P = len(self.points)
+        perm[0], perm[P] = perm[P], perm[0]
+        self.generators[g] = tuple(perm)
+
+    monkeypatch.setattr(autsearch._Space, "__init__", broken)
+    root = theorems.verify("transroot", None)
+    assert root.verdict == "fail"
+    assert root.quantities["transitive"] is False and "stray" in root.quantities
+    fund = theorems.verify("transfund", None)
+    assert fund.verdict == "fail"
+    assert "stray" in fund.quantities["plain"] and "stray" in fund.quantities["with_ends"]
+
+
 def test_roots_and_fundaments_single_orbit_q3():
     # (q^3+q^2+q+1)(q^3+q^2+q)(q^2+q)q^2 of each
     expected = {"count": 168480, "orbit_size": 168480, "transitive": True}

@@ -150,6 +150,25 @@ def test_central_product_reports_are_json(tmp_path, capsys):
         json.loads(out)
 
 
+def test_json_reports_carry_their_wall_time(tmp_path, capsys):
+    manifest = tmp_path / "mini.txt"
+    manifest.write_text(f"graph {CORPUS / 'toy.lg'} ddc,toy-equal q=2\n")
+    code, out, _ = run(capsys, "suite", manifest, "--json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(reports) == 2
+    for r in reports:
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+        assert "seconds" not in r["quantities"]
+    code, out, _ = run(capsys, "verify", "ddc", CORPUS / "toy.lg", "-q", 2, "--json")
+    payload = json.loads(out)
+    assert isinstance(payload["seconds"], float) and payload["seconds"] >= 0
+    # the text output stays as it was: no timings
+    for argv in (("suite", manifest), ("verify", "ddc", CORPUS / "toy.lg", "-q", 2)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "second" not in out
+
+
 def test_collineation_witnesses_are_json_data(capsys):
     code, out, _ = run(capsys, "verify", "kernel-trivial", CORPUS / "ve.lg", "-q", 3, "--json")
     assert code == 1

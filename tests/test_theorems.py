@@ -1,6 +1,7 @@
 import pytest
 
-from loosegeo import formats, theorems
+from loosegeo import formats, matrices, theorems
+from loosegeo.graphs import LooseMorphism
 from conftest import CORPUS, corpus_graph
 
 
@@ -93,6 +94,109 @@ def test_all_morphisms_counts():
     assert len(theorems.all_morphisms(k2, k2)) == 4
     for f in theorems.all_morphisms(cat[3], cat[4]):  # p3 -> k3
         f.validate()
+
+
+def _functoriality_per_pair(seed=0xF1F1, count=100):
+    """The composition law with every pair's three matrices rebuilt by
+    `compose_check`: the reference for the matrix table of the check."""
+    cat = theorems.morphism_catalog()
+    mors = {(i, j): theorems.all_morphisms(g1, g2)
+            for i, g1 in enumerate(cat) for j, g2 in enumerate(cat)}
+    pairs = [((i, j, k), g, f)
+             for i in range(len(cat)) for j in range(len(cat)) for k in range(len(cat))
+             for f in mors[(i, j)] for g in mors[(j, k)]]
+    exhaustive = len(pairs)
+    pairs += [(("random",), g, f) for g, f in theorems.random_composable_pairs(count, seed)]
+    witnesses = []
+    for tag, g, f in pairs:
+        try:
+            if not matrices.compose_check(g, f):
+                witnesses.append((*tag, f.vmap, g.vmap))
+        except ValueError as exc:
+            witnesses.append((*tag, f.vmap, g.vmap, str(exc)))
+    quantities = {"exhaustive_pairs": exhaustive, "total_pairs": len(pairs), "seed": seed}
+    return ("pass" if not witnesses else "fail"), quantities, witnesses[:3]
+
+
+def _functoriality():
+    rep = theorems.verify("functoriality", None, 2)
+    return rep.verdict, rep.quantities, rep.witnesses
+
+
+def test_functoriality_matches_per_pair_reference():
+    assert _functoriality() == _functoriality_per_pair() == (
+        "pass", {"exhaustive_pairs": 11907, "total_pairs": 12007, "seed": 0xF1F1}, [])
+
+
+def test_functoriality_catches_a_wrong_vertex_image_in_compose(monkeypatch):
+    compose = LooseMorphism.compose
+
+    def wrong(self, other):
+        # the first vertex goes to another target vertex: from the one-vertex
+        # graph the composite stays a catalog morphism, elsewhere it may be invalid
+        h = compose(self, other)
+        v = next(iter(h.vmap))
+        others = [w for w in h.target.vertices if w != h.vmap[v]]
+        if others:
+            h.vmap[v] = others[0]
+        return h
+
+    monkeypatch.setattr(LooseMorphism, "compose", wrong)
+    verdict, quantities, witnesses = _functoriality()
+    assert verdict == "fail" and witnesses
+    assert len(witnesses[0]) == 5  # a matrix mismatch, not a validation error
+    assert (verdict, quantities, witnesses) == _functoriality_per_pair()
+
+
+def test_functoriality_catches_a_wrong_completion_map(monkeypatch):
+    p3 = theorems.morphism_catalog()[3]
+    completion_vertex_map = LooseMorphism.completion_vertex_map
+
+    def wrong(self):
+        # out of the path a-b-c, a goes to the target's last completion vertex
+        out = completion_vertex_map(self)
+        if self.source.edges.keys() == p3.edges.keys():
+            out["a"] = self.target.completion().names[-1]
+        return out
+
+    monkeypatch.setattr(LooseMorphism, "completion_vertex_map", wrong)
+    verdict, quantities, witnesses = _functoriality()
+    assert verdict == "fail" and witnesses
+    assert (verdict, quantities, witnesses) == _functoriality_per_pair()
+
+
+def test_invalid_composite_is_a_failed_check(monkeypatch):
+    compose = LooseMorphism.compose
+
+    def invalid(self, other):
+        h = compose(self, other)
+        return LooseMorphism(h.source, h.target, {v: "nowhere" for v in h.vmap}, h.emap)
+
+    monkeypatch.setattr(LooseMorphism, "compose", invalid)
+    entries = formats.parse_manifest(
+        f"global functoriality,transroot q=2\ngraph {CORPUS / 'toy.lg'} ddc q=2\n")
+    result = theorems.run_suite(entries, qs=(2,))
+    verdicts = [(r.theorem, r.verdict) for r in result["reports"]]
+    assert verdicts == [("functoriality", "fail"), ("transroot", "pass"), ("ddc", "pass")]
+    witness = result["reports"][0].witnesses[0]
+    assert "not a target vertex" in witness[-1]
+
+
+def test_functoriality_builds_each_catalog_matrix_once(monkeypatch):
+    cat = theorems.morphism_catalog()
+    morphisms = sum(len(theorems.all_morphisms(a, b)) for a in cat for b in cat)
+    assert morphisms == 219
+    calls = []
+    global_matrix = matrices.global_matrix
+
+    def counted(morphism):
+        calls.append(morphism)
+        return global_matrix(morphism)
+
+    monkeypatch.setattr(matrices, "global_matrix", counted)
+    assert theorems.verify("functoriality", None, 2).verdict == "pass"
+    # the catalog's morphisms once, then three per random pair
+    assert len(calls) <= morphisms + 3 * 100
 
 
 def test_random_pairs_are_deterministic():
