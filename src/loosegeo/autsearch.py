@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, permutations, product
-from math import gcd
 
 from . import gfq
 from .permgroup import (
@@ -34,7 +33,7 @@ from .permgroup import (
     block_automorphisms,
     compose,
     identity_perm,
-    inverse,
+    is_identity,
     pointwise_stabilizer,
 )
 from .scheme import SchemeModel, classify_lines, line_rational_points
@@ -236,8 +235,9 @@ class ProjAut:
     """The semilinear stabilizer of a point set: its group on the rational
     points, the `kernel` of that action (the stabilizing lifts of the
     identity, by matrix, then Frobenius power) and the lifter.  The lifts of
-    a permutation are any one of them times the kernel.  `elements`, `perms`
-    and `linear` list the group on first read."""
+    a permutation are any one of them times the kernel.  Its subgroups are
+    read as stabilizers in one permutation action (`_action`); `elements`,
+    `perms` and `linear` list the group on first read."""
 
     scheme: SchemeModel
     perm_group: PermGroup
@@ -258,57 +258,62 @@ class ProjAut:
         linear_kernel = sum(1 for k in self.kernel if k.frob == 0)
         return self.linear_perm_group.order() * linear_kernel
 
+    def _action(self, outside=()) -> tuple[PermGroup, int]:
+        """The group as permutations of ids: 0..n-1 the rational points,
+        n..n+e-1 the Frobenius powers Z/e (a lift of power t adds t), then
+        the orbit of the given projective points outside X, found breadth
+        first, the given points first and in order.  It is generated by the
+        lifts of `perm_group`'s generators and the kernel; also returns how
+        many kernel elements act trivially on every id (power 0, fixing the
+        orbit), so a subgroup's order is its order here times that count."""
+        F, n = self.scheme.F, len(self.scheme.points)
+        gens = [(self.lifter.lift(s), s) for s in self.perm_group.generators]
+        gens += [(k, identity_perm(n)) for k in self.kernel]
+        ids = {p: n + F.e + i for i, p in enumerate(outside)}
+        rows: list[list[int]] = [[] for _ in gens]
+        queue = list(outside)
+        for p in queue:
+            for (g, _), row in zip(gens, rows):
+                img = apply_collineation(self.scheme, g, p)
+                if img not in ids:
+                    ids[img] = n + F.e + len(ids)
+                    queue.append(img)
+                row.append(ids[img])
+        perms = [
+            perm + tuple(n + (t + g.frob) % F.e for t in range(F.e)) + tuple(row)
+            for (g, perm), row in zip(gens, rows)
+        ]
+        trivial = sum(1 for perm in perms[-len(self.kernel):] if is_identity(perm))
+        return PermGroup(perms, n + F.e + len(ids)), trivial
+
     @cached_property
     def linear_perm_group(self) -> PermGroup:
-        """The permutations with a linear lift (Frobenius power 0).  The
-        powers of the lifts of a permutation form a coset of the subgroup the
-        kernel's powers generate in Z/e, so a lift's power modulo g = gcd(e,
-        the kernel's powers) is a homomorphism to Z/g; this is its kernel,
-        generated by the Schreier generators of at most g cosets."""
-        g = gcd(self.scheme.F.e, *(k.frob for k in self.kernel))
-        if g == 1:
-            return self.perm_group
-        gens = self.perm_group.generators
-        power = {s: self.lifter.lift(s).frob % g for s in gens}
-        reps = {0: identity_perm(self.perm_group.degree)}
-        queue = [0]
-        for v in queue:
-            for s in gens:
-                w = (v + power[s]) % g
-                if w not in reps:
-                    reps[w] = compose(s, reps[v])
-                    queue.append(w)
-        schreier = [
-            compose(inverse(reps[(v + power[s]) % g]), compose(s, u))
-            for v, u in reps.items()
-            for s in gens
-        ]
-        return PermGroup(schreier, self.perm_group.degree)
+        """The permutations with a linear lift (Frobenius power 0): the
+        stabilizer of the Frobenius id of power 0, on the points."""
+        n = len(self.scheme.points)
+        linear = pointwise_stabilizer(self._action()[0], [n])
+        return PermGroup([g[:n] for g in linear.generators], n)
 
     def faithful_witnesses(self) -> list[Collineation]:
         """Non-identity elements acting trivially on the rational points."""
         ident = Collineation(tuple(_basis_vec(self.scheme.m, i) for i in range(self.scheme.m)))
         return [k for k in self.kernel if k != ident]
 
-    def lifted(self, group: PermGroup) -> list[tuple[tuple[int, ...], Collineation]]:
-        """Every element inducing a permutation of `group`, a subgroup of
-        `perm_group`, with that permutation: one product of lifted coset
-        representatives along the chain of `group` times a kernel element."""
-        F, n = self.scheme.F, group.degree
+    @cached_property
+    def _listing(self) -> tuple[list[Collineation], list]:
+        """Every element, by matrix, then Frobenius power, with its
+        permutation: one product of lifted coset representatives along the
+        chain of `perm_group` times a kernel element."""
+        F, n = self.scheme.F, self.perm_group.degree
         products = [(identity_perm(n), k) for k in self.kernel]
-        for reps in reversed(group.coset_representatives()):
+        for reps in reversed(self.perm_group.coset_representatives()):
             lifts = [(u, self.lifter.lift(u)) for u in reps]
             products = [
                 (compose(u, perm), _compose_collineations(F, g, h))
                 for u, g in lifts
                 for perm, h in products
             ]
-        return products
-
-    @cached_property
-    def _listing(self) -> tuple[list[Collineation], list]:
-        """Every element, by matrix, then Frobenius power, with its permutation."""
-        found = {g: perm for perm, g in self.lifted(self.perm_group)}
+        found = {g: perm for perm, g in products}
         elements = sorted(found, key=lambda g: (g.matrix, g.frob))
         return elements, [found[g] for g in elements]
 
@@ -374,26 +379,21 @@ def local_spans(scheme: SchemeModel, w: str) -> list[list[str]]:
 def fixing_subgroup(proj: ProjAut, spans) -> tuple[PermGroup, int]:
     """The elements fixing, pointwise, the rational points of the coordinate
     subspace spanned by each listed set of completion vertices: their group
-    on the rational points and their number.  They lie over the pointwise
-    stabilizer of the targets in X; its lifts that fix the other targets are
-    kept."""
+    on the rational points and their number.  They are the pointwise
+    stabilizer of the targets' ids in `ProjAut._action`, the targets outside
+    X included."""
     scheme = proj.scheme
-    F, m = scheme.F, scheme.m
+    F, m, n = scheme.F, scheme.m, len(scheme.points)
     targets = {
         p
         for span in spans
         for p in gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in span])
     }
     outside = sorted(p for p in targets if p not in scheme.point_index)
-    group = pointwise_stabilizer(
-        proj.perm_group, sorted(scheme.point_index[p] for p in targets if p in scheme.point_index)
-    )
-    kept = [
-        perm
-        for perm, g in proj.lifted(group)
-        if all(apply_collineation(scheme, g, p) == p for p in outside)
-    ]
-    return PermGroup(kept, len(scheme.points)), len(kept)
+    group, trivial = proj._action(outside)
+    fixed = [scheme.point_index[p] for p in targets if p in scheme.point_index]
+    stab = pointwise_stabilizer(group, sorted(fixed) + [n + F.e + i for i in range(len(outside))])
+    return PermGroup([g[:n] for g in stab.generators], n), stab.order() * trivial
 
 
 # -- combinatorial automorphisms ---------------------------------------------

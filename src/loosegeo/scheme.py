@@ -17,8 +17,8 @@ every degree.  All containment and stability tests below ride on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from . import gfq
 from .graphs import LooseGraph
@@ -197,19 +197,15 @@ class SchemeModel:
             total += (x - 1) ** (bin(mask).count("1") - 1)
         return total
 
-    def profile(self, rows, rmax: int | None = None) -> tuple[int, ...]:
-        """Counts of scheme points of a subspace over F_{q^r}, r = 1..rmax.
-
-        The default (and cache key) runs to m+1 so extension stability at one
-        degree beyond the ambient bound is always visible.
-        """
+    def profile(self, rows) -> tuple[int, ...]:
+        """Counts of scheme points of a subspace over F_{q^r}, r = 1..m+1, so
+        extension stability at one degree beyond the ambient bound is always
+        visible."""
         key, full = self._lookup(self._profile_cache, rows)
         if full is None:
             full = tuple(self.count_in_subspace(key, r) for r in range(1, self.m + 2))
             self._profile_cache[key] = full
-        if rmax is None:
-            return full
-        return full[:rmax]
+        return full
 
 
 def build_scheme(graph: LooseGraph, q: int) -> SchemeModel:
@@ -317,7 +313,7 @@ def _hyperplanes_of(F: gfq.FField, basis):
     return sorted(out)
 
 
-def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
+def enumerate_subspaces(scheme: SchemeModel):
     """Projective subspaces fully contained in the scheme and affine patches
     (subspace minus one of its hyperplanes) contained with incomplete closure.
 
@@ -326,9 +322,10 @@ def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
     rational points, pruned by rational counts, so it is exhaustive for the
     constructible containments it reports.
     """
-    if dmax is None:
-        dmax = max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1)
-    dmax = min(dmax, MAX_SUBSPACE_DIM)
+    dmax = min(
+        max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
+        MAX_SUBSPACE_DIM,
+    )
     q, m = scheme.q, scheme.m
     projective: dict[int, list] = {d: [] for d in range(1, dmax + 1)}
     affine: list[AffinePatch] = []
@@ -378,9 +375,6 @@ def enumerate_subspaces(scheme: SchemeModel, dmax: int | None = None):
 # counting and interpolation
 # ---------------------------------------------------------------------------
 
-_PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
-
-
 def count_points(graph: LooseGraph, qs=None) -> dict[int, int]:
     """|X(F_q)| for each q, by enumeration (cross-checked against the census)."""
     if qs is None:
@@ -395,34 +389,19 @@ def count_points(graph: LooseGraph, qs=None) -> dict[int, int]:
     return out
 
 
-def interpolate_count_polynomial(graph: LooseGraph) -> list[Fraction]:
+def interpolate_count_polynomial(graph: LooseGraph) -> list[int]:
     """Coefficients (ascending) of the polynomial N with N(q) = |X(F_q)|.
 
-    The degree is at most the maximum vertex degree, so max-degree + 1
-    prime-power nodes pin it down.
+    The support census gives N(x) = sum over the good supports S of
+    (x - 1)^(|S| - 1), expanded here binomially; the supports do not depend
+    on q, so any field size serves to list them.
     """
-    deg = max((graph.degree(v) for v in graph.vertices), default=1)
-    nodes = _PRIME_POWERS[: deg + 1]
-    counts = count_points(graph, nodes)
-    def poly_mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return out
-
-    coeffs = [Fraction(0)] * len(nodes)
-    for xi in nodes:
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for xj in nodes:
-            if xj == xi:
-                continue
-            basis = poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= Fraction(xi - xj)
-        scale = Fraction(counts[xi]) / denom
-        for i, c in enumerate(basis):
-            coeffs[i] += scale * c
+    sizes = [bin(mask).count("1") for mask in build_scheme(graph, 2)._good_supports]
+    coeffs = [0] * max(sizes)
+    for size in sizes:
+        k = size - 1
+        for j in range(k + 1):
+            coeffs[j] += comb(k, j) * (-1) ** (k - j)
     return coeffs
 
 

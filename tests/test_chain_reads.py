@@ -11,9 +11,10 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from loosegeo import autsearch, gfq, theorems
+from loosegeo import autsearch, formats, gfq, theorems
 from loosegeo.permgroup import PermGroup, transporter
-from conftest import corpus_graph
+from loosegeo.scheme import build_scheme
+from conftest import CORPUS, corpus_graph
 from test_autsearch import small_scheme
 from test_formats import loose_graphs
 
@@ -116,8 +117,6 @@ def assert_chain_reads_match_listing(ctx):
         assert_same(group, perms, n)
     for k in (1, 2, 3):
         for span in combinations(scheme.completion.names, k):
-            if not set(span) & set(graph.vertices):
-                continue  # a span of fresh ends only may miss X: all of the group lifts
             group, order = autsearch.fixing_subgroup(proj, [list(span)])
             perms = listed_fixing_perms(proj, plane_targets(scheme, span))
             assert order == len(perms), span
@@ -210,3 +209,27 @@ def test_check_quantities_match_listing(check, name, q):
             assert got["central_product_order"] == listed[tuple(range(len(ctx.inner)))]
         else:
             assert got["induced"] == len(listed)
+
+
+def _refuse_listing(*args):
+    raise AssertionError("the projective group was listed")
+
+
+def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):
+    # x - y with two loose edges at x, at q=4: a group of order 1,105,920
+    # whose fixing subgroups of fresh ends lie over all of it
+    graph = formats.parse_graph("vertex x\nvertex y\nedge xy x y\nedge l1 x -\nedge l2 x -\n")
+    proj = autsearch.proj_aut_group(build_scheme(graph, 4))
+    assert proj.order == 1105920
+    monkeypatch.setattr(autsearch, "_compose_collineations", _refuse_listing)
+    for spans, expected in (([["l1#1"]], 55296), ([["l1#1", "l2#1"]], 576)):
+        group, order = autsearch.fixing_subgroup(proj, spans)
+        assert order == expected
+        assert group.order() == expected  # the kernel is trivial here
+
+
+def test_suite_checks_do_not_list_the_group(monkeypatch):
+    monkeypatch.setattr(autsearch, "_compose_collineations", _refuse_listing)
+    entries = formats.load_manifest(str(CORPUS / "manifest.txt"))
+    result = theorems.run_suite(entries, qs=(2, 3))
+    assert result["ok"], [(r.theorem, r.graph, r.q) for r in result["failed"]]

@@ -8,7 +8,6 @@ from loosegeo.permgroup import (
     PermGroup,
     block_automorphisms,
     compose,
-    intersection_order,
     inverse,
     pointwise_stabilizer,
     transporter,
@@ -36,13 +35,6 @@ def test_stabilizers_in_s4():
     assert stab.order() == 6
 
 
-def test_intersection_order():
-    g = sym(4)
-    a = pointwise_stabilizer(g, [0])
-    b = pointwise_stabilizer(g, [1])
-    assert intersection_order(a, b) == 2  # the swap of {2,3}
-
-
 def test_central_product_of_disjoint_swaps():
     a = PermGroup([(1, 0, 2, 3)], 4)
     b = PermGroup([(0, 1, 3, 2)], 4)
@@ -57,7 +49,32 @@ def test_central_product_rejects_non_commuting_factors():
     a = PermGroup([(1, 0, 2)], 3)
     b = PermGroup([(0, 2, 1)], 3)
     rep = verify_central_product(g, [a, b])
-    assert not rep["commute"]
+    assert not rep["commute"] and not rep["ok"]
+    assert rep["intersection_orders"] == {(0, 1): None}
+
+
+def test_central_product_overlap_of_commuting_factors():
+    # <(0 1 2 3)> and <(0 2)(1 3)> commute and meet in <(0 2)(1 3)>
+    a = PermGroup([(1, 2, 3, 0)], 4)
+    b = PermGroup([(2, 3, 0, 1)], 4)
+    rep = verify_central_product(a, [a, b])
+    assert rep["ok"] and rep["factor_orders"] == [4, 2]
+    assert rep["intersection_orders"] == {(0, 1): 2}
+
+
+def test_central_product_overlaps_match_listing():
+    # three commuting factors of the cyclic group of order 12 in degree 12
+    c = tuple(list(range(1, 12)) + [0])
+    powers = [c]
+    for _ in range(11):
+        powers.append(compose(c, powers[-1]))
+    factors = [PermGroup([powers[k - 1]], 12) for k in (2, 3, 4)]
+    rep = verify_central_product(PermGroup([c], 12), factors)
+    assert rep["ok"]
+    assert rep["intersection_orders"] == {(0, 1): 2, (0, 2): 3, (1, 2): 1}
+    for (i, j), order in rep["intersection_orders"].items():
+        listed = set(factors[i].elements()) & set(factors[j].elements())
+        assert order == len(listed)
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))

@@ -3,10 +3,11 @@ from itertools import product
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from loosegeo import gfq
+from loosegeo import formats, gfq
 from loosegeo.scheme import (
+    MAX_AMBIENT,
     SchemeModel,
     build_scheme,
     classify_lines,
@@ -65,6 +66,23 @@ def test_counting_polynomials():
     assert toy_poly == [Fraction(1), Fraction(-1), Fraction(2)]
     k3_poly = interpolate_count_polynomial(corpus_graph("k3"))
     assert k3_poly == [Fraction(1), Fraction(1), Fraction(1)]
+
+
+def test_counting_polynomial_of_isolated_vertex_and_vertexless_edge():
+    # one point for the vertex, q - 1 for the punctured line: N(q) = q, of
+    # degree one although no vertex has an edge
+    graph = formats.parse_graph("vertex v\nedge e - -\n")
+    assert count_points(graph, [2, 3, 4, 5]) == {2: 2, 3: 3, 4: 4, 5: 5}
+    assert interpolate_count_polynomial(graph) == [0, 1]
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs())
+def test_counting_polynomial_matches_enumeration(g):
+    assume(1 <= len(g.completion()) <= MAX_AMBIENT)
+    poly = interpolate_count_polynomial(g)
+    for q in (2, 3, 4, 5):
+        assert sum(c * q**d for d, c in enumerate(poly)) == len(build_scheme(g, q).points)
 
 
 def test_extension_counts_are_consistent():
