@@ -4,8 +4,8 @@ Two automorphism groups are attached to a point set X in PG(m-1, q):
 
 * the projective group: collineations of the ambient space stabilizing X as
   a scheme, meaning over every extension field at once.  Membership in X is
-  a support condition, so exact extension counts (scheme profiles) turn the
-  scheme-theoretic condition into finitely many integer equalities.
+  a support condition, so exact extension counts (point polynomials) turn
+  the scheme-theoretic condition into equalities of integer polynomials.
 * the combinatorial group: automorphisms of the incidence geometry whose
   points are the rational points of X and whose lines are the projective and
   complete-affine lines of X, preserved kind by kind.
@@ -36,7 +36,7 @@ from .permgroup import (
     is_identity,
     pointwise_stabilizer,
 )
-from .scheme import SchemeModel, classify_lines, line_rational_points
+from .scheme import SchemeModel, add_monomial, classify_lines, line_rational_points
 
 
 @dataclass(frozen=True)
@@ -89,26 +89,21 @@ def _basis_vec(m: int, i: int) -> tuple[int, ...]:
 
 def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
     """Whether the image of one locally closed piece under M lies in X over
-    every extension, checked with exact profile counts."""
-    F, q, m = scheme.F, scheme.q, scheme.m
+    every extension, checked with exact point polynomials."""
+    F, m = scheme.F, scheme.m
     bits = [i for i in range(m) if piece.support_mask >> i & 1]
     cols = {i: gfq.mat_vec(F, M, _basis_vec(m, i)) for i in bits}
     if piece.kind == "gm":
-        prof = scheme.profile(tuple(cols.values()))
         excluded = sum(
             1 for i in bits
             if gfq.normalize_point(F, cols[i]) in scheme.point_index
         )
-        return all(prof[r - 1] - excluded == q**r - 1 for r in range(1, m + 2))
-    s = len(bits)
-    prof_full = scheme.profile(tuple(cols[i] for i in bits))
-    if s == 1:
-        return all(c == 1 for c in prof_full)
-    prof_hyp = scheme.profile(tuple(cols[i] for i in bits if i != piece.required_bit))
-    return all(
-        prof_full[r - 1] - prof_hyp[r - 1] == q ** (r * (s - 1))
-        for r in range(1, m + 2)
-    )
+        return scheme.point_polynomial(tuple(cols.values())) == (excluded - 1, 1)
+    full = scheme.point_polynomial(tuple(cols[i] for i in bits))
+    if len(bits) == 1:
+        return full == (1,)
+    hyp = scheme.point_polynomial(tuple(cols[i] for i in bits if i != piece.required_bit))
+    return full == add_monomial(hyp, len(bits) - 1)
 
 
 def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
@@ -289,7 +284,10 @@ class ProjAut:
     @cached_property
     def linear_perm_group(self) -> PermGroup:
         """The permutations with a linear lift (Frobenius power 0): the
-        stabilizer of the Frobenius id of power 0, on the points."""
+        stabilizer of the Frobenius id of power 0, on the points.  Over a
+        prime field every lift is linear."""
+        if self.scheme.F.e == 1:
+            return self.perm_group
         n = len(self.scheme.points)
         linear = pointwise_stabilizer(self._action()[0], [n])
         return PermGroup([g[:n] for g in linear.generators], n)

@@ -45,12 +45,14 @@ class LooseGraph:
                 self.add_edge(name, a, b)
 
     def add_vertex(self, name: str) -> None:
+        _check_name("vertex", name)
         if name in self.vertices:
             raise ValueError(f"duplicate vertex {name!r}")
         self.vertices.append(name)
         self._completion = None
 
     def add_edge(self, name: str, a: str | None, b: str | None) -> None:
+        _check_name("edge", name)
         if name in self.edges:
             raise ValueError(f"duplicate edge {name!r}")
         for end in (a, b):
@@ -145,41 +147,19 @@ class LooseGraph:
             self._completion = Completion(self)
         return self._completion
 
-    def complement_graph(self) -> "LooseGraph":
-        """Complement inside the completion.
-
-        Edges join completion vertices that are not adjacent in the completion;
-        an endpoint is retained only when it is not a vertex of the original
-        graph, and retained vertices that end up isolated are dropped.
-        """
-        comp = self.completion()
-        names = comp.names
-        adj = {v: set(comp.neighbours(v)) for v in names}
-        keep = [v for v in names if v not in self.vertices]
-        edges = []
-        for i, u in enumerate(names):
-            for v in names[i + 1 :]:
-                if v in adj[u]:
-                    continue
-                a = u if u in keep else None
-                b = v if v in keep else None
-                edges.append((f"c:{u}~{v}", a, b, u, v))
-        used = [v for v in keep if any(a == v or b == v for _, a, b, _, _ in edges)]
-        out = LooseGraph(used)
-        for name, a, b, _, _ in edges:
-            out.add_edge(name, a, b)
-        # remember which completion vertices the free ends sit over
-        out.ambient_slots = {  # type: ignore[attr-defined]
-            name: (u, v) for name, _, _, u, v in edges
-        }
-        return out
-
 
 FRESH_SEP = "#"
 
 
 def fresh_name(edge: str, slot: int) -> str:
     return f"{edge}{FRESH_SEP}{slot}"
+
+
+def _check_name(kind: str, name: str) -> None:
+    """Fresh ends are named edge#slot, so a name holding the separator could
+    coincide with a fresh end and share its coordinate."""
+    if FRESH_SEP in name:
+        raise ValueError(f"{kind} name {name!r} contains {FRESH_SEP!r}")
 
 
 class Completion:

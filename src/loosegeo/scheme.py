@@ -5,13 +5,15 @@ contributes the affine patch A_v: points supported on v and its completion
 neighbours with nonzero v-coordinate.  Every vertexless edge contributes a
 punctured line (its line minus the two coordinate points).
 
-Membership is therefore a pure support condition, which makes counting over
-any extension F_{q^r} exact: the vectors of a subspace W over F_{q^r} with
-support inside a coordinate set S number x^(k - r_S), with x = q^r, k = dim W
-and r_S the F_q-rank of the columns off S of a basis of W.  So one integer
-polynomial in x (the count polynomial of W) counts the vectors of W with a
-good support, and divided by x - 1 it counts the points of W in the set at
-every degree.  All containment and stability tests below ride on that.
+Membership is therefore a pure support condition: the point set is read
+from its good supports alone, and so is its complement.  It also makes
+counting over any extension F_{q^r} exact: the vectors of a subspace W over
+F_{q^r} with support inside a coordinate set S number x^(k - r_S), with
+x = q^r, k = dim W and r_S the F_q-rank of the columns off S of a basis of
+W.  So one integer polynomial in x counts the vectors of W with a good
+support, and divided by x - 1 it is the point polynomial of W, counting the
+points of W in the set at every degree.  Every containment and stability
+test below compares point polynomials.
 """
 
 from __future__ import annotations
@@ -63,9 +65,10 @@ class SchemeModel:
                 mask = (1 << self.index[ca]) | (1 << self.index[cb])
                 self.pieces.append(Piece("gm", e, mask, -1, 1))
         self._good_supports = self._build_good_supports()
-        self.points = self._enumerate_points()
+        if sum(q**piece.dim for piece in self.pieces if piece.kind == "vertex") > MAX_POINTS:
+            raise ValueError("point set too large")
+        self.points = support_points(self.F, self.m, self._good_supports)
         self.point_index = {p: i for i, p in enumerate(self.points)}
-        self._profile_cache: dict = {}
         self._poly_cache: dict = {}
         self._coeff_cache: dict = {}
 
@@ -78,14 +81,7 @@ class SchemeModel:
                 good.add(piece.support_mask)
                 continue
             vbit = 1 << piece.required_bit
-            rest = piece.support_mask & ~vbit
-            others = [1 << i for i in range(self.m) if rest >> i & 1]
-            for k in range(len(others) + 1):
-                for combo in combinations(others, k):
-                    mask = vbit
-                    for b in combo:
-                        mask |= b
-                    good.add(mask)
+            good.update(_with_subsets(vbit, _bits(piece.support_mask & ~vbit)))
         return frozenset(good)
 
     def support_mask(self, vec) -> int:
@@ -98,32 +94,6 @@ class SchemeModel:
     def contains(self, vec) -> bool:
         """Membership of a nonzero coordinate vector (over any extension, by support)."""
         return self.support_mask(vec) in self._good_supports
-
-    def _enumerate_points(self) -> list[tuple[int, ...]]:
-        F, m = self.F, self.m
-        pts = set()
-        total = 0
-        for piece in self.pieces:
-            bits = [i for i in range(m) if piece.support_mask >> i & 1]
-            if piece.kind == "vertex":
-                free = [i for i in bits if i != piece.required_bit]
-                total += self.q ** len(free)
-                if total > MAX_POINTS:
-                    raise ValueError("point set too large")
-                for vals in product(F.elements(), repeat=len(free)):
-                    vec = [0] * m
-                    vec[piece.required_bit] = 1
-                    for i, c in zip(free, vals):
-                        vec[i] = c
-                    pts.add(gfq.normalize_point(F, tuple(vec)))
-            else:
-                a, b = bits
-                for t in range(1, self.q):
-                    vec = [0] * m
-                    vec[a] = 1
-                    vec[b] = t
-                    pts.add(gfq.normalize_point(F, tuple(vec)))
-        return sorted(pts)
 
     # -- counting over extensions -------------------------------------------
 
@@ -141,21 +111,26 @@ class SchemeModel:
         key = gfq.echelon(self.F, rows) if rows else ()
         return key, cache.get(key)
 
-    def _count_polynomial(self, rows) -> tuple[int, ...]:
-        """Coefficients, lowest degree first, of the polynomial in x = q^r
-        counting the vectors of the span of rows over F_{q^r} with a good
-        support: sum_S c_S x^(k - rank(union - S)) over the subsets S of the
-        support union, k the dimension, ranks taken over basis columns."""
+    def point_polynomial(self, rows) -> tuple[int, ...]:
+        """Coefficients, lowest degree first and without trailing zeros, of
+        the polynomial in x = q^r counting the points over F_{q^r} of the
+        span of rows in X.  It is the count of the span's vectors with a good
+        support, sum_S c_S x^(k - rank(union - S)) over the subsets S of the
+        support union (k the dimension, ranks taken over basis columns),
+        divided exactly by x - 1."""
         key, poly = self._lookup(self._poly_cache, rows)
         if poly is None:
             cols = list(zip(*key))
             union = sum(1 << i for i, col in enumerate(cols) if any(col))
             ranks = gfq.subset_ranks(self.F, [col for col in cols if any(col)])
             k = len(key)
-            poly = [0] * (k + 1)
+            count = [0] * (k + 1)
             for s, c in enumerate(self._support_coefficients(union)):
-                poly[k - ranks[-1 - s]] += c  # index -1 - s is union - S
-            poly = self._poly_cache[key] = tuple(poly)
+                count[k - ranks[-1 - s]] += c  # index -1 - s is union - S
+            if sum(count):  # the remainder of the division by x - 1
+                raise AssertionError(f"vector count {count} is not divisible by x - 1")
+            quotient = [sum(count[d:]) for d in range(1, k + 1)]
+            poly = self._poly_cache[key] = _trim(quotient)
         return poly
 
     def _support_coefficients(self, union: int) -> list[int]:
@@ -164,10 +139,7 @@ class SchemeModel:
         the superset Moebius transform of the good supports in union."""
         coeffs = self._coeff_cache.get(union)
         if coeffs is None:
-            masks = [0]
-            for i in range(self.m):
-                if union >> i & 1:
-                    masks += [mask | 1 << i for mask in masks]
+            masks = _with_subsets(0, _bits(union))
             coeffs = [int(mask in self._good_supports) for mask in masks]
             bit = 1
             while bit < len(coeffs):
@@ -184,10 +156,7 @@ class SchemeModel:
         if r < 1:
             raise ValueError(f"extension degree must be at least 1, got {r}")
         x = self.q**r
-        total = sum(c * x**d for d, c in enumerate(self._count_polynomial(rows)))
-        if total % (x - 1):
-            raise AssertionError(f"{total} affine points do not form projective points over F_{x}")
-        return total // (x - 1)
+        return sum(c * x**d for d, c in enumerate(self.point_polynomial(rows)))
 
     def point_count(self, r: int = 1) -> int:
         """|X(F_{q^r})| from the support census (no enumeration)."""
@@ -197,15 +166,51 @@ class SchemeModel:
             total += (x - 1) ** (bin(mask).count("1") - 1)
         return total
 
-    def profile(self, rows) -> tuple[int, ...]:
-        """Counts of scheme points of a subspace over F_{q^r}, r = 1..m+1, so
-        extension stability at one degree beyond the ambient bound is always
-        visible."""
-        key, full = self._lookup(self._profile_cache, rows)
-        if full is None:
-            full = tuple(self.count_in_subspace(key, r) for r in range(1, self.m + 2))
-            self._profile_cache[key] = full
-        return full
+
+def support_points(F: gfq.FField, m: int, masks) -> list[tuple[int, ...]]:
+    """The points of PG(m-1, q), sorted, whose support is one of the masks: a
+    1 at the lowest bit of the mask and any nonzero entries at its other
+    bits."""
+    units = [c for c in F.elements() if c != 0]
+    pts = []
+    for mask in masks:
+        lead, *rest = [i for i in range(m) if mask >> i & 1]
+        for vals in product(units, repeat=len(rest)):
+            vec = [0] * m
+            vec[lead] = 1
+            for i, c in zip(rest, vals):
+                vec[i] = c
+            pts.append(tuple(vec))
+    return sorted(pts)
+
+
+def _bits(mask: int) -> list[int]:
+    """The one-bit masks of the bits set in mask, lowest first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _with_subsets(base: int, bits) -> list[int]:
+    """base | S for every union S of the given one-bit masks, listed so
+    that the entry at index j holds the t-th mask exactly when bit t of j is
+    set."""
+    masks = [base]
+    for bit in bits:
+        masks += [mask | bit for mask in masks]
+    return masks
+
+
+def _trim(poly) -> tuple[int, ...]:
+    poly = list(poly)
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return tuple(poly)
+
+
+def add_monomial(poly, d: int) -> tuple[int, ...]:
+    """The polynomial poly + x^d, as a coefficient tuple without trailing zeros."""
+    out = list(poly) + [0] * (d + 1 - len(poly))
+    out[d] += 1
+    return _trim(out)
 
 
 def build_scheme(graph: LooseGraph, q: int) -> SchemeModel:
@@ -236,19 +241,16 @@ def line_rational_points(F: gfq.FField, basis) -> list[tuple[int, ...]]:
 def classify_line(scheme: SchemeModel, basis) -> GeometryLine | None:
     """Classify the line spanned by two independent vectors, or None.
 
-    projective: every point over every F_{q^r} (r <= m, and still at m+1)
-    belongs to the scheme.  affine ("complete affine"): exactly one rational
-    point is missing, at every extension degree.
+    projective: every point over every F_{q^r} belongs to the scheme, point
+    polynomial 1 + x.  affine ("complete affine"): exactly one rational point
+    is missing, at every extension degree, point polynomial x.
     """
-    q, m = scheme.q, scheme.m
-    prof = scheme.profile(tuple(basis))
-    full = tuple(q**r + 1 for r in range(1, m + 2))
-    almost = tuple(q**r for r in range(1, m + 2))
+    poly = scheme.point_polynomial(tuple(basis))
     rat = line_rational_points(scheme.F, basis)
     inside = tuple(sorted(p for p in rat if p in scheme.point_index))
-    if prof == full:
+    if poly == (1, 1):
         return GeometryLine("projective", inside, gfq.echelon(scheme.F, basis), None)
-    if prof == almost:
+    if poly == (0, 1):
         gaps = [p for p in rat if p not in scheme.point_index]
         if len(gaps) == 1:
             return GeometryLine("affine", inside, gfq.echelon(scheme.F, basis), gaps[0])
@@ -326,13 +328,9 @@ def enumerate_subspaces(scheme: SchemeModel):
         max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
         MAX_SUBSPACE_DIM,
     )
-    q, m = scheme.q, scheme.m
+    q = scheme.q
     projective: dict[int, list] = {d: [] for d in range(1, dmax + 1)}
     affine: list[AffinePatch] = []
-
-    full_profiles = {
-        k: tuple(gfq.pg_size(q**r, k) for r in range(1, m + 2)) for k in range(1, dmax + 2)
-    }
 
     # candidate subspaces of vector dimension k, grown from rational point spans
     level = set()
@@ -342,20 +340,17 @@ def enumerate_subspaces(scheme: SchemeModel):
     for k in range(2, dmax + 2):
         survivors = set()
         for basis in sorted(level):
-            prof = scheme.profile(basis)
+            poly = scheme.point_polynomial(basis)
             d = k - 1  # projective dimension
-            fully = prof == full_profiles[k]
+            fully = poly == (1,) * k
             if fully:
                 projective[d].append(basis)
-            if prof[0] < q**d:
+            if scheme.count_in_subspace(basis, 1) < q**d:
                 continue
             survivors.add(basis)
             if not fully:
-                want = tuple(q ** (r * d) for r in range(1, m + 2))
                 for hyp in _hyperplanes_of(scheme.F, basis):
-                    hprof = scheme.profile(hyp)
-                    got = tuple(p - h for p, h in zip(prof, hprof))
-                    if got == want:
+                    if poly == add_monomial(scheme.point_polynomial(hyp), d):
                         affine.append(AffinePatch(basis, hyp, d, False))
         if k == dmax + 1:
             break
@@ -471,37 +466,21 @@ def subgraph_span_dim(scheme: SchemeModel, completion_vertices) -> int:
 
 
 def complement_points(scheme: SchemeModel) -> list[tuple[int, ...]]:
-    """Rational points of the complement construction, in the same ambient basis."""
-    comp_graph = scheme.graph.complement_graph()
-    slots = getattr(comp_graph, "ambient_slots", {})
-    F, m = scheme.F, scheme.m
-    idx = scheme.index
-    pts = set()
-    # vertex patches of retained (fresh) vertices
-    for v in comp_graph.vertices:
-        nbr = []
-        for e, (a, b) in comp_graph.edges.items():
-            if v not in (a, b):
-                continue
-            u0, u1 = slots[e]
-            nbr.append(u1 if u0 == v else u0)
-        support = [idx[v]] + [idx[w] for w in nbr]
-        for vals in product(F.elements(), repeat=len(nbr)):
-            vec = [0] * m
-            vec[idx[v]] = 1
-            for i, c in zip(support[1:], vals):
-                vec[i] = c
-            pts.add(gfq.normalize_point(F, tuple(vec)))
-    # punctured lines of fully vertexless complement edges
-    for e, (a, b) in comp_graph.edges.items():
-        if a is None and b is None:
-            u0, u1 = slots[e]
-            for t in range(1, F.q):
-                vec = [0] * m
-                vec[idx[u0]] = 1
-                vec[idx[u1]] = t
-                pts.add(gfq.normalize_point(F, tuple(vec)))
-    return sorted(pts)
+    """Rational points of the complement construction, in the same ambient
+    basis, read from its supports: each fresh end v with a non-neighbour in
+    the completion, together with any set of its non-neighbours, and each
+    pair of non-adjacent vertices of the graph."""
+    comp, idx = scheme.completion, scheme.index
+    vertices = scheme.graph.vertices
+    supports = set()
+    for v in comp.names[len(vertices):]:  # the fresh ends follow the vertices
+        others = [1 << idx[w] for w in comp.names if w != v and not comp.adjacent(v, w)]
+        if others:
+            supports.update(_with_subsets(1 << idx[v], others))
+    for u, v in combinations(vertices, 2):
+        if not comp.adjacent(u, v):
+            supports.add(1 << idx[u] | 1 << idx[v])
+    return support_points(scheme.F, scheme.m, supports)
 
 
 def decompose(scheme: SchemeModel) -> dict:

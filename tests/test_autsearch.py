@@ -65,6 +65,16 @@ def test_singular_matrix_does_not_stabilize():
     assert not autsearch.collineation_stabilizes(scheme, ((0,) * 4,) * 4)
 
 
+def test_punctured_line_contained_only_if_its_ends_are_not_hit():
+    scheme = model("ve", 3)
+    (piece,) = scheme.pieces
+    assert autsearch._piece_contained(scheme, ((1, 0), (0, 1)), piece)
+    # the shear e#0 -> e#0 + e#1 maps the punctured line onto the line less
+    # (1, 1) and (0, 1), so (1, 0), outside X, is in the image: on the line
+    # x - 1 points lie in X, one of them the image of an excluded end
+    assert not autsearch._piece_contained(scheme, ((1, 0), (1, 1)), piece)
+
+
 def test_every_element_stabilizes():
     scheme = model("toy", 3)
     proj = autsearch.proj_aut_group(scheme)
@@ -77,27 +87,24 @@ def frame_search(scheme):
     sorted list of canonical matrices: the reference for `proj_aut_group`.
 
     A linear collineation is determined by the images of the basis points
-    and the unit point.  Candidate images are pruned by comparing scheme
-    profiles of spans, which are collineation invariants: the images of
-    basis points i and k must span a line with the profile of the coordinate
-    line (i, k), and the first k images a space with the profile of the
-    first k coordinates.  The unit point fixes the scales of the chosen
-    images, one column at a time; once the scales of columns 0..c are fixed,
-    the image of every rational point whose last nonzero coordinate is c is
-    fixed too and must lie in X.  `collineation_stabilizes` decides every
-    complete matrix."""
+    and the unit point.  Candidate images are pruned by comparing point
+    polynomials of spans, which are collineation invariants: the images of
+    basis points i and k must span a line with the polynomial of the
+    coordinate line (i, k), and the first k images a space with the
+    polynomial of the first k coordinates.  The unit point fixes the scales
+    of the chosen images, one column at a time; once the scales of columns
+    0..c are fixed, the image of every rational point whose last nonzero
+    coordinate is c is fixed too and must lie in X.
+    `collineation_stabilizes` decides every complete matrix."""
     F, m = scheme.F, scheme.m
+    poly = scheme.point_polynomial
     basis = [autsearch._basis_vec(m, i) for i in range(m)]
-    pair_ref = {
-        (i, j): scheme.profile((basis[i], basis[j]))
-        for i in range(m)
-        for j in range(i + 1, m)
-    }
-    prefix_ref = [scheme.profile(tuple(basis[: k + 1])) for k in range(m)]
-    by_profile: dict = {}
+    pair_ref = {(i, j): poly((basis[i], basis[j])) for i in range(m) for j in range(i + 1, m)}
+    prefix_ref = [poly(tuple(basis[: k + 1])) for k in range(m)]
+    by_poly: dict = {}
     for p in gfq.projective_points(F, m):
-        by_profile.setdefault(scheme.profile((p,)), []).append(p)
-    level_cands = [by_profile.get(scheme.profile((basis[i],)), []) for i in range(m)]
+        by_poly.setdefault(poly((p,)), []).append(p)
+    level_cands = [by_poly.get(poly((basis[i],)), []) for i in range(m)]
     by_last = [[] for _ in range(m)]
     for p in scheme.points:
         by_last[max(c for c in range(m) if p[c])].append(p)
@@ -128,11 +135,11 @@ def frame_search(scheme):
             return
         for p in cands[i]:
             rows = gfq.echelon(F, chosen + [p])
-            if len(rows) != i + 1 or scheme.profile(rows) != prefix_ref[i]:
+            if len(rows) != i + 1 or poly(rows) != prefix_ref[i]:
                 continue
             deeper = cands[: i + 1]
             for k in range(i + 1, m):
-                keep = [x for x in cands[k] if scheme.profile((p, x)) == pair_ref[(i, k)]]
+                keep = [x for x in cands[k] if poly((p, x)) == pair_ref[(i, k)]]
                 if not keep:
                     break
                 deeper.append(keep)

@@ -158,6 +158,18 @@ def test_chain_reads_match_listing(name, q):
     assert_chain_reads_match_listing(theorems.Context(corpus_graph(name), q, name))
 
 
+@pytest.mark.parametrize("name", ["toy", "gamma1", "ve"])
+def test_linear_part_over_a_prime_field_is_the_whole_group(name, monkeypatch):
+    proj = theorems.Context(corpus_graph(name), 3, name).proj
+
+    def no_action(self, outside=()):
+        raise AssertionError("the action is not needed over a prime field")
+
+    monkeypatch.setattr(autsearch.ProjAut, "_action", no_action)
+    assert proj.linear_perm_group is proj.perm_group
+    assert proj.linear_order == proj.order == len(proj.linear)
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(loose_graphs(), st.sampled_from([2, 3, 4]))
 def test_chain_reads_match_listing_on_random_graphs(g, q):

@@ -67,6 +67,17 @@ def test_add_edge_rejects_duplicates_and_unknown_vertices():
         g.add_edge("e", "a", "b")
 
 
+def test_names_with_the_fresh_end_separator_are_rejected():
+    # a vertex l#1 beside a loose edge l would share the fresh end's coordinate
+    g = LooseGraph(["x"])
+    g.add_edge("l", "x", None)
+    with pytest.raises(ValueError):
+        g.add_vertex("l#1")
+    with pytest.raises(ValueError):
+        g.add_edge("e#0", "x", None)
+    assert g.completion().names == ["x", "l#1"]
+
+
 def test_morphism_validation_rules():
     p4 = corpus_graph("p4")
     p3 = corpus_graph("p3")

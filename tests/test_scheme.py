@@ -11,6 +11,7 @@ from loosegeo.scheme import (
     SchemeModel,
     build_scheme,
     classify_lines,
+    complement_points,
     convexity_check,
     count_points,
     decompose,
@@ -18,7 +19,7 @@ from loosegeo.scheme import (
     interpolate_count_polynomial,
     subgraph_span_dim,
 )
-from conftest import corpus_graph
+from conftest import CORPUS, corpus_graph
 from test_autsearch import small_scheme
 from test_formats import loose_graphs
 
@@ -51,6 +52,46 @@ def test_points_match_brute_membership(name, q):
     graph = corpus_graph(name)
     model = build_scheme(graph, q)
     assert model.points == sorted(brute_points(graph, q))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3]))
+def test_points_match_brute_membership_on_random_graphs(g, q):
+    assume(1 <= len(g.completion()) <= 6)
+    assert build_scheme(g, q).points == sorted(brute_points(g, q))
+
+
+def brute_complement(graph, q):
+    """Independent complement membership: a projective point belongs to X^c
+    iff its support is two non-adjacent vertices of the graph, or it holds
+    a fresh end v with a non-neighbour in the completion and lies within v
+    and v's non-neighbours."""
+    F = gfq.get_field(q)
+    comp = graph.completion()
+    out = []
+    for p in gfq.projective_points(F, len(comp)):
+        support = {comp.names[i] for i, c in enumerate(p) if c != 0}
+        ok = len(support) == 2 and support <= set(graph.vertices) and not comp.adjacent(*support)
+        for v in support - set(graph.vertices):
+            far = {w for w in comp.names if w != v and not comp.adjacent(v, w)}
+            if far and support <= far | {v}:
+                ok = True
+        if ok:
+            out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("name,q", list(product(sorted(p.stem for p in CORPUS.glob("*.lg")), [2, 3])))
+def test_complement_matches_brute_membership(name, q):
+    graph = corpus_graph(name)
+    assert complement_points(build_scheme(graph, q)) == sorted(brute_complement(graph, q))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3]))
+def test_complement_matches_brute_membership_on_random_graphs(g, q):
+    assume(1 <= len(g.completion()) <= 6)
+    assert complement_points(build_scheme(g, q)) == sorted(brute_complement(g, q))
 
 
 def test_toy_point_counts():
@@ -183,8 +224,12 @@ def random_rows(rng, scheme, dim):
 
 
 def assert_profile_matches_reference(scheme, rows):
-    expected = tuple(reference_count_in_subspace(scheme, rows, r) for r in range(1, scheme.m + 2))
-    assert scheme.profile(rows) == expected
+    """The counts over F_{q^r}, r = 1..m+1, read from the point polynomial,
+    equal the earlier route's: m + 1 values pin a polynomial of degree at
+    most m - 1."""
+    degrees = range(1, scheme.m + 2)
+    expected = [reference_count_in_subspace(scheme, rows, r) for r in degrees]
+    assert [scheme.count_in_subspace(rows, r) for r in degrees] == expected
 
 
 @pytest.mark.parametrize("name", ["toy", "spider", "gamma2"])
@@ -222,7 +267,7 @@ def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
     rows = ((1, 2, 0, 0), (2, 1, 1, 0))
     key = gfq.echelon(model.F, rows)
     assert key != rows
-    prof = model.profile(rows)
+    poly = model.point_polynomial(rows)
     echelon = gfq.echelon
     calls = []
 
@@ -231,16 +276,36 @@ def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
         return echelon(F, vectors)
 
     monkeypatch.setattr(gfq, "echelon", counting_echelon)
-    assert model.profile(key) == prof and calls == []
-    assert model.profile(rows) == prof and calls == [rows]
+    assert model.point_polynomial(key) == poly and calls == []
+    assert model.point_polynomial(rows) == poly and calls == [rows]
 
 
 def test_profile_of_full_space():
-    model = build_scheme(corpus_graph("toy"), 2)
+    graph = corpus_graph("toy")
+    model = build_scheme(graph, 2)
     basis = tuple(tuple(1 if j == i else 0 for j in range(4)) for i in range(4))
-    prof = model.profile(basis)
-    assert len(prof) == model.m + 1
-    assert prof[0] == 7
+    assert model.count_in_subspace(basis, 1) == 7
+    # the whole space holds every point: its point polynomial is the census
+    assert model.point_polynomial(basis) == tuple(interpolate_count_polynomial(graph))
+
+
+def test_point_polynomial_rejects_a_count_not_divisible_by_x_minus_1():
+    model = build_scheme(corpus_graph("toy"), 2)
+    # with the empty support counted as good the zero vector counts too: the
+    # vector count of a line is one more than (x - 1) times its point count
+    model._good_supports = model._good_supports | {0}
+    with pytest.raises(AssertionError):
+        model.point_polynomial(((1, 0, 0, 0), (0, 1, 0, 0)))
+
+
+def test_point_polynomials_of_lines_and_planes():
+    model = build_scheme(corpus_graph("toy"), 3)
+    x, y, lx, ly = (tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert model.point_polynomial((x, y)) == (1, 1)  # a projective line
+    assert model.point_polynomial((x, lx)) == (0, 1)  # lx#1 is missing
+    assert model.point_polynomial((lx, ly)) == ()  # no point at all
+    assert model.point_polynomial((x, y, lx)) == (1, 0, 1)  # all but the line y, lx#1 less y
+    assert model.count_in_subspace((x, y, lx), 2) == 1 + 9**2
 
 
 def test_classify_lines_toy():

@@ -220,13 +220,12 @@ def test_rules_catch_a_broken_point_set(monkeypatch):
     from loosegeo import scheme as scheme_mod
 
     graph = corpus_graph("toy")
-    original = scheme_mod.SchemeModel._enumerate_points
+    original = scheme_mod.support_points
 
-    def broken(self):
-        pts = original(self)
-        return pts[:-1]
+    def broken(F, m, masks):
+        return original(F, m, masks)[:-1]
 
-    monkeypatch.setattr(scheme_mod.SchemeModel, "_enumerate_points", broken)
+    monkeypatch.setattr(scheme_mod, "support_points", broken)
     rep = theorems.check_rules(graph, 2, "toy")
     assert rep.verdict == "fail"
 
