@@ -36,7 +36,7 @@ from .permgroup import (
     is_identity,
     pointwise_stabilizer,
 )
-from .scheme import SchemeModel, add_monomial, classify_lines, line_rational_points
+from .scheme import SchemeModel, add_monomial, classify_lines, support_points
 
 
 @dataclass(frozen=True)
@@ -437,19 +437,20 @@ def comb_aut_group(scheme: SchemeModel) -> CombAut:
 
 def embedded_inner_graph(scheme: SchemeModel) -> dict:
     """Indices of the basis points of inner vertices, and the rational point
-    sets of the lines spanned by inner edges."""
-    graph = scheme.graph
-    inner = set(graph.inner_vertices())
-    vpts = {
-        v: scheme.point_index[gfq.normalize_point(scheme.F, _basis_vec(scheme.m, scheme.index[v]))]
-        for v in inner
+    sets of the lines spanned by inner edges: the points with supports {a},
+    {b} and {a, b} for an edge ab."""
+    inner = set(scheme.graph.inner_vertices())
+    bit = {v: 1 << scheme.index[v] for v in inner}
+
+    def ids(*masks):
+        return [scheme.point_index[p] for p in support_points(scheme.F, scheme.m, masks)]
+
+    vpts = {v: ids(bit[v])[0] for v in inner}
+    elines = {
+        e: frozenset(ids(bit[a], bit[b], bit[a] | bit[b]))
+        for e, (a, b) in scheme.graph.edges.items()
+        if a in inner and b in inner
     }
-    elines = {}
-    for e, (a, b) in graph.edges.items():
-        if a in inner and b in inner:
-            basis = (_basis_vec(scheme.m, scheme.index[a]), _basis_vec(scheme.m, scheme.index[b]))
-            pts = frozenset(scheme.point_index[p] for p in line_rational_points(scheme.F, basis))
-            elines[e] = pts
     return {"vertex_points": vpts, "edge_lines": elines}
 
 
@@ -499,7 +500,7 @@ class _Space:
         for x, y in combinations(range(P), 2):
             if (x, y) not in self.line_of:
                 L = P + len(self.lines)
-                line = line_rational_points(F, (self.points[x], self.points[y]))
+                line = gfq.span_points(F, (self.points[x], self.points[y]))
                 pts = self.lines[L] = frozenset(self.point_index[p] for p in line)
                 for a in pts:
                     self.through[a].append(L)

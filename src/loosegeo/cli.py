@@ -38,27 +38,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str):
-    try:
-        return formats.load_graph(path)
-    except (OSError, formats.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _load_morphism(path: str):
-    try:
-        return formats.load_morphism(path)
-    except (OSError, formats.FormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def cmd_points(args) -> int:
     if args.ext < 1:
         print(f"error: extension degree must be at least 1, got {args.ext}", file=sys.stderr)
         return 2
-    g = _load(args.graph)
+    g = formats.load_graph(args.graph)
     scheme = build_scheme(g, args.q)
     if args.ext > 1:
         n = scheme.point_count(args.ext)
@@ -72,7 +56,7 @@ def cmd_points(args) -> int:
 
 
 def cmd_lines(args) -> int:
-    g = _load(args.graph)
+    g = formats.load_graph(args.graph)
     scheme = build_scheme(g, args.q)
     lines = classify_lines(scheme)
     payload = [
@@ -87,7 +71,7 @@ def cmd_lines(args) -> int:
 
 
 def cmd_count(args) -> int:
-    g = _load(args.graph)
+    g = formats.load_graph(args.graph)
     qs = args.q or [2, 3, 4, 5]
     counts = count_points(g, qs)
     poly = interpolate_count_polynomial(g)
@@ -99,7 +83,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    g = _load(args.graph)
+    g = formats.load_graph(args.graph)
     scheme = build_scheme(g, args.q)
     proj = proj_aut_group(scheme)
     comb = comb_aut_group(scheme)
@@ -121,7 +105,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    mor = _load_morphism(args.morphism)
+    mor = formats.load_morphism(args.morphism)
     mat = matrices.global_matrix(mor)
     rep = matrices.injectivity_criterion(mor)
     payload = {
@@ -138,7 +122,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    mor = _load_morphism(args.morphism)
+    mor = formats.load_morphism(args.morphism)
     rep = matrices.kernel_f1(mor, args.q)
     payload = {
         "q": args.q,
@@ -157,18 +141,14 @@ def _report_line(r) -> str:
 
 
 def cmd_verify(args) -> int:
-    graph = _load(args.graph) if args.graph else None
+    graph = formats.load_graph(args.graph) if args.graph else None
     options = {}
     if args.seed is not None:
         options["seed"] = args.seed
     if args.expected is not None:
-        options["expected"] = args.expected.lower() in ("true", "1", "yes")
-    try:
-        rep = theorems.verify(args.check, graph, args.q,
-                              name=args.graph or "-", options=options or None)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        options["expected"] = args.expected
+    rep = theorems.verify(args.check, graph, args.q,
+                          name=args.graph or "-", options=options or None)
     payload = {
         "theorem": rep.theorem, "verdict": rep.verdict,
         "quantities": rep.quantities, "seconds": rep.seconds,
@@ -182,11 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    try:
-        entries = formats.load_manifest(args.manifest)
-    except (OSError, formats.FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entries = formats.load_manifest(args.manifest)
     qs = tuple(args.q) if args.q else (2, 3)
     result = theorems.run_suite(entries, qs)
     payload = {
@@ -249,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", nargs="?", help="graph file (omit for global checks)")
     p.add_argument("-q", type=int, default=2)
     p.add_argument("--seed", type=int, help="seed for randomized pairs")
-    p.add_argument("--expected", help="expected truth value (igp)")
+    p.add_argument("--expected", type=formats.parse_bool,
+                   help="expected truth value (igp): true/false, 1/0 or yes/no")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("suite", parents=[common], help="run a manifest of checks")
@@ -264,7 +241,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

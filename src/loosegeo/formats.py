@@ -30,6 +30,17 @@ class FormatError(ValueError):
     pass
 
 
+_TRUTH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def parse_bool(text: str) -> bool:
+    """A truth value: true/false, 1/0 or yes/no, in any case."""
+    try:
+        return _TRUTH[text.lower()]
+    except KeyError:
+        raise FormatError(f"expected true/false, 1/0 or yes/no, got {text!r}") from None
+
+
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -147,9 +158,17 @@ def _parse_options(entry: dict, opts, lineno: int) -> None:
     for opt in opts:
         key, _, value = opt.partition("=")
         if key == "igp_expected":
-            entry["igp_expected"] = value.lower() in ("true", "1", "yes")
+            try:
+                entry["igp_expected"] = parse_bool(value)
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: igp_expected: {exc}") from None
         elif key == "q":
-            entry["qs"] = tuple(int(v) for v in value.split(","))
+            try:
+                entry["qs"] = tuple(int(v) for v in value.split(","))
+            except ValueError:
+                raise FormatError(
+                    f"line {lineno}: q takes comma-separated field sizes, got {value!r}"
+                ) from None
         else:
             raise FormatError(f"line {lineno}: unknown option {key!r}")
 

@@ -337,14 +337,18 @@ def pg_size(q: int, m: int) -> int:
     return (q**m - 1) // (q - 1)
 
 
-def span_points(F: FField, basis) -> list[tuple[int, ...]]:
-    """The rational points of the projective span of the basis vectors, sorted."""
-    pts = set()
-    for coeffs in product(F.elements(), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [0] * len(basis[0])
-        for c, b in zip(coeffs, basis):
-            vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
-        pts.add(normalize_point(F, tuple(vec)))
+def span_points(F: FField, vectors) -> list[tuple[int, ...]]:
+    """The rational points of the projective span of independent vectors,
+    sorted: one combination per point of PG(k-1, q) as coefficients, so each
+    point comes once.  No echelon form is taken, so tests can use this as a
+    reference for the counts that rest on `echelon`."""
+    add, mul = F._add, F._mul
+    pts = []
+    for coeffs in projective_points(F, len(vectors)):
+        vec = [0] * len(vectors[0])
+        for c, b in zip(coeffs, vectors):
+            if c:
+                row = mul[c]
+                vec = [add[x][row[y]] for x, y in zip(vec, b)]
+        pts.append(normalize_point(F, tuple(vec)))
     return sorted(pts)

@@ -230,53 +230,38 @@ class GeometryLine:
     missing: tuple[int, ...] | None  # the unique rational gap of an affine line
 
 
-def line_rational_points(F: gfq.FField, basis) -> list[tuple[int, ...]]:
-    a, b = basis
-    pts = [gfq.normalize_point(F, a)]
-    for t in F.elements():
-        pts.append(gfq.normalize_point(F, gfq.vec_add(F, gfq.vec_scale(F, t, a), b)))
-    return sorted(set(pts))
-
-
 def classify_line(scheme: SchemeModel, basis) -> GeometryLine | None:
-    """Classify the line spanned by two independent vectors, or None.
+    """Classify the line with the given echelon basis, or None.
 
     projective: every point over every F_{q^r} belongs to the scheme, point
-    polynomial 1 + x.  affine ("complete affine"): exactly one rational point
-    is missing, at every extension degree, point polynomial x.
+    polynomial 1 + x.  affine ("complete affine"): point polynomial x, so
+    one of the q + 1 rational points is missing, at every extension degree.
     """
-    poly = scheme.point_polynomial(tuple(basis))
-    rat = line_rational_points(scheme.F, basis)
-    inside = tuple(sorted(p for p in rat if p in scheme.point_index))
+    poly = scheme.point_polynomial(basis)
+    if poly not in ((1, 1), (0, 1)):
+        return None
+    rat = gfq.span_points(scheme.F, basis)
+    inside = tuple(p for p in rat if p in scheme.point_index)
     if poly == (1, 1):
-        return GeometryLine("projective", inside, gfq.echelon(scheme.F, basis), None)
-    if poly == (0, 1):
-        gaps = [p for p in rat if p not in scheme.point_index]
-        if len(gaps) == 1:
-            return GeometryLine("affine", inside, gfq.echelon(scheme.F, basis), gaps[0])
-    return None
+        return GeometryLine("projective", inside, basis, None)
+    gap = next(p for p in rat if p not in scheme.point_index)
+    return GeometryLine("affine", inside, basis, gap)
+
+
+def secant_lines(scheme: SchemeModel) -> list[tuple[tuple[int, ...], ...]]:
+    """The lines through two rational points of the point set, as sorted
+    distinct echelon bases."""
+    return sorted({gfq.echelon(scheme.F, pair) for pair in combinations(scheme.points, 2)})
 
 
 def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
     """All projective and complete-affine lines of the point set.
 
-    Any such line carries at least two rational points, so scanning spans of
-    point pairs is exhaustive.
+    Any such line carries at least two rational points, so the secant lines
+    are exhaustive.
     """
-    seen = set()
-    out = []
-    pts = scheme.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            key = gfq.echelon(scheme.F, (pts[i], pts[j]))
-            if key in seen:
-                continue
-            seen.add(key)
-            line = classify_line(scheme, key)
-            if line is not None:
-                out.append(line)
-    out.sort(key=lambda l: (l.kind, l.points))
-    return out
+    lines = [classify_line(scheme, basis) for basis in secant_lines(scheme)]
+    return sorted((l for l in lines if l is not None), key=lambda l: (l.kind, l.points))
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +318,7 @@ def enumerate_subspaces(scheme: SchemeModel):
     affine: list[AffinePatch] = []
 
     # candidate subspaces of vector dimension k, grown from rational point spans
-    level = set()
-    for i in range(len(scheme.points)):
-        for j in range(i + 1, len(scheme.points)):
-            level.add(gfq.echelon(scheme.F, (scheme.points[i], scheme.points[j])))
+    level = secant_lines(scheme)
     for k in range(2, dmax + 2):
         survivors = set()
         for basis in sorted(level):
@@ -408,16 +390,9 @@ def interpolate_count_polynomial(graph: LooseGraph) -> list[int]:
 def _off_star_points(scheme: SchemeModel, piece: Piece) -> list[tuple[int, ...]]:
     """Points of a vertex patch lying on none of its own star lines, i.e. with
     at least two nonzero coordinates besides the vertex one."""
-    out = []
-    for p in scheme.points:
-        mask = scheme.support_mask(p)
-        if mask & ~piece.support_mask:
-            continue
-        if not mask >> piece.required_bit & 1:
-            continue
-        if bin(mask).count("1") >= 3:
-            out.append(p)
-    return out
+    vbit = 1 << piece.required_bit
+    masks = _with_subsets(vbit, _bits(piece.support_mask & ~vbit))
+    return support_points(scheme.F, scheme.m, [s for s in masks if bin(s).count("1") >= 3])
 
 
 def convexity_check(scheme: SchemeModel) -> dict:
@@ -425,7 +400,6 @@ def convexity_check(scheme: SchemeModel) -> dict:
     vertex patches meets the rational point set in exactly those two points."""
     if not scheme.graph.is_tree():
         raise ValueError("convexity check applies to loose trees")
-    F = scheme.F
     vertex_pieces = [p for p in scheme.pieces if p.kind == "vertex"]
     checked = 0
     failures = []
@@ -434,32 +408,22 @@ def convexity_check(scheme: SchemeModel) -> dict:
             for y in _off_star_points(scheme, pb):
                 if x == y:
                     continue
-                rat = line_rational_points(F, (x, y))
-                hits = [p for p in rat if p in scheme.point_index]
+                hits = [p for p in gfq.span_points(scheme.F, (x, y)) if p in scheme.point_index]
                 checked += 1
-                if sorted(hits) != sorted({x, y}):
+                if hits != sorted({x, y}):
                     failures.append((x, y, tuple(hits)))
     return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 def subgraph_span_dim(scheme: SchemeModel, completion_vertices) -> int:
     """Projective dimension of the span of the embedded subgraph on the given
-    completion vertices: its vertex points that are rational scheme points plus
-    all rational scheme points on its edge lines."""
-    names = list(completion_vertices)
-    idx = scheme.index
-    vecs = []
-    for v in names:
-        unit = tuple(1 if i == idx[v] else 0 for i in range(scheme.m))
-        if unit in scheme.point_index:
-            vecs.append(unit)
-    for a, b in scheme.completion.edge_ends.values():
-        if a in names and b in names:
-            ua = tuple(1 if i == idx[a] else 0 for i in range(scheme.m))
-            ub = tuple(1 if i == idx[b] else 0 for i in range(scheme.m))
-            for p in line_rational_points(scheme.F, (ua, ub)):
-                if p in scheme.point_index:
-                    vecs.append(p)
+    completion vertices: the rational scheme points whose support lies inside
+    one of them or inside the two ends of one of its edges."""
+    names = set(completion_vertices)
+    bit = {v: 1 << scheme.index[v] for v in names}
+    edges = scheme.completion.edge_ends.values()
+    cells = set(bit.values()) | {bit[a] | bit[b] for a, b in edges if a in names and b in names}
+    vecs = support_points(scheme.F, scheme.m, cells & scheme._good_supports)
     if not vecs:
         return -1
     return gfq.mat_rank(scheme.F, vecs) - 1

@@ -22,9 +22,10 @@ from .scheme import (
     SchemeModel,
     build_scheme,
     convexity_check,
-    enumerate_subspaces,
-    subgraph_span_dim,
     decompose,
+    enumerate_subspaces,
+    secant_lines,
+    subgraph_span_dim,
 )
 
 @dataclass
@@ -80,45 +81,19 @@ class Context:
 # -- functoriality corpus ------------------------------------------------------
 
 
-def _cat_point() -> LooseGraph:
-    g = LooseGraph()
-    g.add_vertex("p")
-    return g
-
-
-def _cat_k2() -> LooseGraph:
-    g = LooseGraph()
-    g.add_vertex("a")
-    g.add_vertex("b")
-    g.add_edge("e", "a", "b")
-    return g
-
-
-def _cat_k2_loose() -> LooseGraph:
-    g = _cat_k2()
-    g.add_edge("l", "a", None)
-    return g
-
-
-def _cat_p3() -> LooseGraph:
-    g = LooseGraph()
-    for v in ("a", "b", "c"):
-        g.add_vertex(v)
-    g.add_edge("ab", "a", "b")
-    g.add_edge("bc", "b", "c")
-    return g
-
-
-def _cat_k3() -> LooseGraph:
-    g = _cat_p3()
-    g.add_edge("ca", "c", "a")
-    return g
-
-
 def morphism_catalog() -> list[LooseGraph]:
     """Small graphs (at most 3 vertices) between which every morphism is
-    enumerated for the composition-law check."""
-    return [_cat_point(), _cat_k2(), _cat_k2_loose(), _cat_p3(), _cat_k3()]
+    enumerated for the composition-law check: a point, k2, k2 with a loose
+    edge, p3 and k3."""
+    k2 = {"e": ("a", "b")}
+    p3 = {"ab": ("a", "b"), "bc": ("b", "c")}
+    return [
+        LooseGraph(["p"]),
+        LooseGraph(["a", "b"], k2),
+        LooseGraph(["a", "b"], {**k2, "l": ("a", None)}),
+        LooseGraph(["a", "b", "c"], p3),
+        LooseGraph(["a", "b", "c"], {**p3, "ca": ("c", "a")}),
+    ]
 
 
 def all_morphisms(g1: LooseGraph, g2: LooseGraph) -> list[LooseMorphism]:
@@ -214,14 +189,8 @@ def _contraction(g: LooseGraph, rng: random.Random, tag: str):
 
 def _extension(g: LooseGraph, rng: random.Random, tag: str):
     """An inclusion of g into g with one extra leaf edge."""
-    out = LooseGraph()
-    for v in g.vertices:
-        out.add_vertex(v)
-    for e, (a, b) in g.edges.items():
-        out.add_edge(e, a, b)
     anchor = rng.choice(list(g.vertices))
-    out.add_vertex(f"{tag}new")
-    out.add_edge(f"{tag}edge", anchor, f"{tag}new")
+    out = LooseGraph(g.vertices + [f"{tag}new"], {**g.edges, f"{tag}edge": (anchor, f"{tag}new")})
     vmap = {v: v for v in g.vertices}
     emap = {e: ("edge", e) for e in g.edges}
     return LooseMorphism(g, out, vmap, emap)
@@ -262,7 +231,6 @@ def _check_functoriality(ctx: Context, options) -> TheoremReport:
     values.  A composite that fails validation is a witness, not an error.
     """
     seed = (options or {}).get("seed", 0xF1F1)
-    count = (options or {}).get("count", 100)
     F2 = gfq.get_field(2)
     cat = morphism_catalog()
     hom = {
@@ -292,7 +260,7 @@ def _check_functoriality(ctx: Context, options) -> TheoremReport:
                 if lhs != rhs:
                     witnesses.append((i, j, k, f.vmap, g.vmap))
     exhaustive = checked
-    for g, f in random_composable_pairs(count, seed):
+    for g, f in random_composable_pairs(seed=seed):
         checked += 1
         try:
             if not matrices.compose_check(g, f):
@@ -674,7 +642,6 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
     graph extension, and stability of line classification under one more
     field extension."""
     scheme = build_scheme(graph, q)
-    F = scheme.F
     failures = []
     # local dimension: each vertex patch has q^deg(v) rational points
     for piece in scheme.pieces:
@@ -713,12 +680,7 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
                     failures.append(("mg-overlap", piece.label, p))
     # monotonicity: adding a loose edge strictly enlarges the point set
     if graph.vertices:
-        bigger = LooseGraph()
-        for v in graph.vertices:
-            bigger.add_vertex(v)
-        for e, (a, b) in graph.edges.items():
-            bigger.add_edge(e, a, b)
-        bigger.add_edge("__cov__", list(graph.vertices)[0], None)
+        bigger = LooseGraph(graph.vertices, {**graph.edges, "__cov__": (graph.vertices[0], None)})
         sup = build_scheme(bigger, q)
         embedded = {p + (0,) for p in scheme.points}
         sup_set = set(sup.points)
@@ -727,14 +689,8 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
     # extension stability: a line's classification over degrees up to m never
     # changes when degree m+1 is also required
     m = scheme.m
-    seen_spans = set()
-    lines = 0
-    for a, b in combinations(scheme.points, 2):
-        basis = gfq.echelon(F, (a, b))
-        if len(basis) != 2 or basis in seen_spans:
-            continue
-        seen_spans.add(basis)
-        lines += 1
+    lines = secant_lines(scheme)
+    for basis in lines:
         prof = tuple(scheme.count_in_subspace(basis, r) for r in range(1, m + 2))
         for want in ("full", "almost"):
             target = (lambda r: q ** r + 1) if want == "full" else (lambda r: q ** r)
@@ -745,7 +701,7 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
     return TheoremReport(
         "rules", name, q,
         "pass" if not failures else "fail",
-        {"secant_lines": lines},
+        {"secant_lines": len(lines)},
         failures[:5],
     )
 

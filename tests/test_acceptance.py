@@ -5,8 +5,6 @@ matrix stabilizers, and closed-form group orders."""
 
 import time
 
-import pytest
-
 from loosegeo import autsearch, f1, gfq, matrices, theorems
 from loosegeo.permgroup import PermGroup
 from loosegeo.scheme import build_scheme, convexity_check, decompose
@@ -141,7 +139,6 @@ def test_criterion_09_rule_suite():
     print("CRITERION 9: PASS")
 
 
-@pytest.mark.slow
 def test_criterion_10_q4_quotients_report_only():
     for name in ["toy"] + TREES:
         rep = theorems.verify("lemfield-quotient", corpus_graph(name), 4, name)

@@ -92,9 +92,8 @@ def test_verify_skip_exits_zero(capsys):
 
 
 def test_bad_input_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "points", "no_such_file.lg")
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "points", "no_such_file.lg")
+    assert code == 2 and out == "" and err.startswith("error:")
     code, _, err = run(capsys, "verify", "ddc", CORPUS / "p4.lg", "-q", 2)
     assert code == 2 and "error" in err
 
@@ -104,10 +103,8 @@ def test_bad_morphism_exits_two(tmp_path, capsys, command):
     bad = tmp_path / "bad.lgm"
     bad.write_text("nonsense\n")
     for path in (tmp_path / "missing.lgm", bad):
-        with pytest.raises(SystemExit) as exc:
-            run(capsys, command, path)
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        code, out, err = run(capsys, command, path)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_unknown_check_rejected_by_parser(capsys):
@@ -214,3 +211,20 @@ def test_output_is_the_same_without_asserts(argv):
     )
     assert plain.returncode == 0 and plain.stdout
     assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
+def test_verify_rejects_a_bad_truth_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "igp", CORPUS / "gamma2.lg", "-q", 2, "--expected", "maybe")
+    assert exc.value.code == 2
+    assert "maybe" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "igp", CORPUS / "gamma2.lg", "-q", 2, "--expected", "no")
+    assert code == 0 and out.startswith("PASS")
+
+
+@pytest.mark.parametrize("option", ["igp_expected=maybe", "q=abc", "q="])
+def test_suite_rejects_a_bad_manifest_value(tmp_path, capsys, option):
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(f"graph {CORPUS / 'gamma2.lg'} igp {option}\n")
+    code, out, err = run(capsys, "suite", manifest)
+    assert code == 2 and out == "" and err.startswith("error: line 1: ")

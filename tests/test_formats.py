@@ -79,3 +79,19 @@ def test_corpus_files_all_parse():
     for path in sorted(CORPUS.glob("*.lg")):
         g = formats.load_graph(str(path))
         assert len(g.edges) > 0
+
+
+def test_parse_bool_accepts_only_truth_words():
+    for text, value in (("true", True), ("Yes", True), ("1", True),
+                        ("FALSE", False), ("no", False), ("0", False)):
+        assert formats.parse_bool(text) is value
+    for text in ("maybe", "", "y", "2", "truth"):
+        with pytest.raises(formats.FormatError):
+            formats.parse_bool(text)
+
+
+@pytest.mark.parametrize("option", ["igp_expected=maybe", "igp_expected=", "q=abc", "q=", "q=2,"])
+def test_parse_manifest_names_the_line_of_a_bad_value(option):
+    text = f"global functoriality\ngraph gamma2.lg igp {option}\n"
+    with pytest.raises(formats.FormatError, match="^line 2: "):
+        formats.parse_manifest(text, base_dir=str(CORPUS))

@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from loosegeo import gfq
 
@@ -139,3 +139,31 @@ def test_subset_ranks_match_span_sizes(q, length, data):
                 vec = gfq.vec_add(F, vec, gfq.vec_scale(F, c, v))
             spanned.add(vec)
         assert len(spanned) == q**rank
+
+
+def brute_span_points(F, vectors):
+    """Every nonzero coefficient tuple's combination, normalized and
+    deduplicated."""
+    pts = set()
+    for coeffs in product(F.elements(), repeat=len(vectors)):
+        if any(coeffs):
+            vec = [0] * len(vectors[0])
+            for c, b in zip(coeffs, vectors):
+                vec = [F.add(x, F.mul(c, y)) for x, y in zip(vec, b)]
+            pts.add(gfq.normalize_point(F, tuple(vec)))
+    return sorted(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_span_points_matches_brute_force(data):
+    q = data.draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    m = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, min(m, 3)))
+    vector = st.tuples(*[st.integers(0, q - 1)] * m)
+    vectors = data.draw(st.lists(vector, min_size=k, max_size=k))
+    F = gfq.get_field(q)
+    assume(gfq.mat_rank(F, vectors) == k)
+    pts = gfq.span_points(F, vectors)
+    assert pts == brute_span_points(F, vectors)
+    assert len(pts) == gfq.pg_size(q, k)

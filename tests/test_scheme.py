@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 import random
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from loosegeo import formats, gfq
+from loosegeo.autsearch import embedded_inner_graph
 from loosegeo.scheme import (
     MAX_AMBIENT,
     SchemeModel,
@@ -17,7 +18,9 @@ from loosegeo.scheme import (
     decompose,
     enumerate_subspaces,
     interpolate_count_polynomial,
+    secant_lines,
     subgraph_span_dim,
+    _off_star_points,
 )
 from conftest import CORPUS, corpus_graph
 from test_autsearch import small_scheme
@@ -353,3 +356,94 @@ def test_empty_graph_is_rejected():
 
     with pytest.raises(ValueError):
         build_scheme(LooseGraph(), 2)
+
+
+def line_points(F, a, b):
+    """The rational points of the line through independent a and b: a, and
+    t a + b for every t, normalized."""
+    pts = {gfq.normalize_point(F, a)}
+    for t in F.elements():
+        pts.add(gfq.normalize_point(F, gfq.vec_add(F, gfq.vec_scale(F, t, a), b)))
+    return sorted(pts)
+
+
+def unit(scheme, v):
+    return tuple(int(i == scheme.index[v]) for i in range(scheme.m))
+
+
+def scanned_off_star_points(scheme, piece):
+    """The points of a vertex patch with at least three nonzero
+    coordinates, by a scan of every point."""
+    return [
+        p for p in scheme.points
+        if scheme.support_mask(p) & ~piece.support_mask == 0
+        and p[piece.required_bit] != 0
+        and sum(c != 0 for c in p) >= 3
+    ]
+
+
+def scanned_subgraph_span_dim(scheme, names):
+    """The span of the unit points in X and of X's points on the edge
+    lines, listed from unit vectors."""
+    vecs = [unit(scheme, v) for v in names if unit(scheme, v) in scheme.point_index]
+    for a, b in scheme.completion.edge_ends.values():
+        if a in names and b in names:
+            line = line_points(scheme.F, unit(scheme, a), unit(scheme, b))
+            vecs += [p for p in line if p in scheme.point_index]
+    return gfq.mat_rank(scheme.F, vecs) - 1 if vecs else -1
+
+
+def scanned_embedded_inner_graph(scheme):
+    """The inner vertices' unit points and the inner edges' lines, listed
+    from unit vectors."""
+    inner = set(scheme.graph.inner_vertices())
+    ids = scheme.point_index
+    return {
+        "vertex_points": {v: ids[unit(scheme, v)] for v in inner},
+        "edge_lines": {
+            e: frozenset(ids[p] for p in line_points(scheme.F, unit(scheme, a), unit(scheme, b)))
+            for e, (a, b) in scheme.graph.edges.items()
+            if a in inner and b in inner
+        },
+    }
+
+
+def assert_strata_match_scans(scheme):
+    for piece in scheme.pieces:
+        if piece.kind == "vertex":
+            assert _off_star_points(scheme, piece) == scanned_off_star_points(scheme, piece)
+    names = scheme.completion.names
+    for k in range(len(names) + 1):
+        for sub in combinations(names, k):
+            assert subgraph_span_dim(scheme, sub) == scanned_subgraph_span_dim(scheme, sub), sub
+    assert embedded_inner_graph(scheme) == scanned_embedded_inner_graph(scheme)
+
+
+def assert_secant_lines_are_pair_spans(scheme):
+    F = scheme.F
+    lines = secant_lines(scheme)
+    assert lines == sorted(set(lines))
+    assert all(len(basis) == 2 and gfq.echelon(F, basis) == basis for basis in lines)
+    assert set(lines) == {gfq.echelon(F, pair) for pair in combinations(scheme.points, 2)}
+    # distinct lines share at most one point, so X's points tell them apart
+    on_lines = {
+        frozenset(p for p in line_points(F, a, b) if p in scheme.point_index)
+        for a, b in combinations(scheme.points, 2)
+    }
+    assert len(on_lines) == len(lines)
+
+
+@pytest.mark.parametrize("name,q", list(product(sorted(p.stem for p in CORPUS.glob("*.lg")), [2, 3])))
+def test_strata_and_secant_lines_match_scans(name, q):
+    scheme = build_scheme(corpus_graph(name), q)
+    assert_strata_match_scans(scheme)
+    assert_secant_lines_are_pair_spans(scheme)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3]))
+def test_strata_and_secant_lines_match_scans_on_random_graphs(g, q):
+    assume(1 <= len(g.completion()) <= 6)
+    scheme = build_scheme(g, q)
+    assert_strata_match_scans(scheme)
+    assert_secant_lines_are_pair_spans(scheme)
