@@ -147,17 +147,11 @@ def cmd_verify(args) -> int:
         options["seed"] = args.seed
     if args.expected is not None:
         options["expected"] = args.expected
-    rep = theorems.verify(args.check, graph, args.q,
-                          name=args.graph or "-", options=options or None)
-    payload = {
-        "theorem": rep.theorem, "verdict": rep.verdict,
-        "quantities": rep.quantities, "seconds": rep.seconds,
-        "witnesses": rep.witnesses, "detail": rep.detail,
-    }
+    rep = theorems.verify(args.check, graph, args.q, name=args.graph or "-", options=options)
     text = [_report_line(rep)]
     for key, value in rep.quantities.items():
         text.append(f"  {key}: {value}")
-    _emit(args, payload, text)
+    _emit(args, dataclasses.asdict(rep), text)
     return 0 if rep.verdict != "fail" else 1
 
 
@@ -165,14 +159,7 @@ def cmd_suite(args) -> int:
     entries = formats.load_manifest(args.manifest)
     qs = tuple(args.q) if args.q else (2, 3)
     result = theorems.run_suite(entries, qs)
-    payload = {
-        "ok": result["ok"],
-        "reports": [
-            {"theorem": r.theorem, "graph": r.graph, "q": r.q,
-             "verdict": r.verdict, "quantities": r.quantities, "seconds": r.seconds}
-            for r in result["reports"]
-        ],
-    }
+    payload = {"ok": result["ok"], "reports": [dataclasses.asdict(r) for r in result["reports"]]}
     text = [_report_line(r) for r in result["reports"]]
     n_fail = len(result["failed"])
     text.append(f"{len(result['reports'])} checks, {n_fail} failed")
@@ -187,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    # SUPPRESS: a subcommand without --json keeps the value given before it
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("points", parents=[common], help="rational points of a graph's point set")

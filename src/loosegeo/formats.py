@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 
+from . import gfq, theorems
 from .graphs import LooseGraph, LooseMorphism
 
 
@@ -52,20 +53,20 @@ def parse_graph(text: str) -> LooseGraph:
     g = LooseGraph()
     for lineno, parts in _lines(text):
         kind = parts[0]
-        if kind == "vertex":
-            if len(parts) != 2:
-                raise FormatError(f"line {lineno}: vertex takes one name")
-            g.add_vertex(parts[1])
-        elif kind == "edge":
-            if len(parts) != 4:
-                raise FormatError(f"line {lineno}: edge takes a name and two ends")
-            name, a, b = parts[1], parts[2], parts[3]
-            try:
+        try:
+            if kind == "vertex":
+                if len(parts) != 2:
+                    raise FormatError("vertex takes one name")
+                g.add_vertex(parts[1])
+            elif kind == "edge":
+                if len(parts) != 4:
+                    raise FormatError("edge takes a name and two ends")
+                name, a, b = parts[1], parts[2], parts[3]
                 g.add_edge(name, None if a == "-" else a, None if b == "-" else b)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: {exc}") from exc
-        else:
-            raise FormatError(f"line {lineno}: unknown directive {kind!r}")
+            else:
+                raise FormatError(f"unknown directive {kind!r}")
+        except ValueError as exc:  # FormatError is a ValueError
+            raise FormatError(f"line {lineno}: {exc}") from exc
     return g
 
 
@@ -127,7 +128,8 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[dict]:
     ``graph FILE check,check,... [key=value ...]`` runs the listed checks on
     the graph; ``global check,check,... [key=value ...]`` runs
     graph-independent checks.  Recognized keys: igp_expected (true/false) and
-    q (comma-separated field sizes overriding the suite default).
+    q (comma-separated field sizes overriding the suite default).  Each check
+    must be able to run on its line's graph, and each q be a field size.
     """
     entries = []
     for lineno, parts in _lines(text):
@@ -142,15 +144,18 @@ def parse_manifest(text: str, base_dir: str = ".") -> list[dict]:
                 "checks": parts[2].split(","),
             }
             _parse_options(entry, parts[3:], lineno)
-            entries.append(entry)
         elif kind == "global":
             if len(parts) < 2:
                 raise FormatError(f"line {lineno}: global takes a check list")
             entry = {"name": "global", "graph": None, "checks": parts[1].split(",")}
             _parse_options(entry, parts[2:], lineno)
-            entries.append(entry)
         else:
             raise FormatError(f"line {lineno}: unknown directive {kind!r}")
+        for check in entry["checks"]:
+            problem = theorems.refusal(check, entry["graph"])
+            if problem:
+                raise FormatError(f"line {lineno}: {problem}")
+        entries.append(entry)
     return entries
 
 
@@ -169,6 +174,11 @@ def _parse_options(entry: dict, opts, lineno: int) -> None:
                 raise FormatError(
                     f"line {lineno}: q takes comma-separated field sizes, got {value!r}"
                 ) from None
+            try:
+                for q in entry["qs"]:
+                    gfq.get_field(q)
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: {exc}") from None
         else:
             raise FormatError(f"line {lineno}: unknown option {key!r}")
 

@@ -1,16 +1,20 @@
 """Named verification checks over point-set models of loose graphs.
 
 Each check computes exact quantities (group orders, factor decompositions,
-orbit counts) and returns a report with a pass/fail/skip verdict and, on
-failure, a concrete witness.  Isomorphism-style statements are verified in
-their strongest decidable form: equality of permutation actions, or
-normality plus order factorization plus induced-action identification.
+orbit counts) and returns what it found: whether the statement holds, the
+quantities and, on failure, a concrete witness.  `CHECKS` says what each
+check needs from its cell, and `verify` alone refuses or skips a cell,
+times the check and builds its report.  Isomorphism-style statements are
+verified in their strongest decidable form: equality of permutation
+actions, or normality plus order factorization plus induced-action
+identification.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -39,9 +43,16 @@ class TheoremReport:
     detail: str = ""
     seconds: float = 0.0  # wall time of the check, set by `verify`
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != "fail"
+
+@dataclass
+class Found:
+    """What a check found; `verify` makes it the cell's report."""
+
+    holds: bool  # the report passes
+    quantities: dict = field(default_factory=dict)
+    witnesses: list = field(default_factory=list)
+    note: str = ""  # the report's detail
+    cell: tuple | None = None  # (label, q) a global check reports on, not its cell's
 
 
 class Context:
@@ -107,24 +118,12 @@ def all_morphisms(g1: LooseGraph, g2: LooseGraph) -> list[LooseMorphism]:
         vmap = dict(zip(v1, images))
         per_edge = []
         for e in edges1:
-            a, b = g1.edges[e]
-            cands = []
-            for e2, (x, y) in g2.edges.items():
-                if a is not None and vmap[a] not in (x, y):
-                    continue
-                if b is not None and vmap[b] not in (x, y):
-                    continue
-                if a is not None and b is not None and vmap[a] == vmap[b]:
-                    continue
-                if (
-                    a is not None
-                    and b is not None
-                    and not ({vmap[a], vmap[b]} <= {x, y})
-                ):
-                    continue
-                cands.append(("edge", e2))
-            real = [vmap[v] for v in (a, b) if v is not None]
-            if len(set(real)) == 1:
+            real = [vmap[v] for v in g1.edges[e] if v is not None]
+            ends = set(real)
+            # an edge goes to an edge holding the images of its distinct ends
+            cands = [("edge", e2) for e2, (x, y) in g2.edges.items()
+                     if len(ends) == len(real) and ends <= {x, y}]
+            if len(ends) == 1:
                 cands.append(("vertex", real[0]))
             elif not real:
                 cands.extend(("vertex", w) for w in v2)
@@ -219,7 +218,7 @@ def _morphism_key(f: LooseMorphism):
     return (f.source, f.target, frozenset(f.vmap.items()), frozenset(f.emap.items()))
 
 
-def _check_functoriality(ctx: Context, options) -> TheoremReport:
+def _check_functoriality(ctx: Context, options) -> Found:
     """P_{g o f} == P_g . P_f over F_2 on every composable pair of the
     catalog, then on seeded random pairs of loose trees.
 
@@ -230,7 +229,7 @@ def _check_functoriality(ctx: Context, options) -> TheoremReport:
     depends only on the two matrices, so it is computed once per pair of
     values.  A composite that fails validation is a witness, not an error.
     """
-    seed = (options or {}).get("seed", 0xF1F1)
+    seed = options.get("seed", 0xF1F1)
     F2 = gfq.get_field(2)
     cat = morphism_catalog()
     hom = {
@@ -267,39 +266,29 @@ def _check_functoriality(ctx: Context, options) -> TheoremReport:
                 witnesses.append(("random", f.vmap, g.vmap))
         except ValueError as exc:
             witnesses.append(("random", f.vmap, g.vmap, str(exc)))
-    verdict = "pass" if not witnesses else "fail"
-    return TheoremReport(
-        "functoriality",
-        "catalog+random",
-        2,
-        verdict,
+    return Found(
+        not witnesses,
         {"exhaustive_pairs": exhaustive, "total_pairs": checked, "seed": seed},
         witnesses[:3],
+        cell=("catalog+random", 2),
     )
 
 
 # -- configuration transitivity ------------------------------------------------
 
 
-def _check_transroot(ctx: Context, options) -> TheoremReport:
+def _check_transroot(ctx: Context, options) -> Found:
     q = ctx.q or 2
     rep = autsearch.enumerate_roots(q)
-    verdict = "pass" if rep["transitive"] else "fail"
-    return TheoremReport("transroot", "PG(3,%d)" % q, q, verdict, rep)
+    return Found(rep["transitive"], rep, cell=("PG(3,%d)" % q, q))
 
 
-def _check_transfund(ctx: Context, options) -> TheoremReport:
+def _check_transfund(ctx: Context, options) -> Found:
     q = ctx.q or 2
     with_ends = autsearch.enumerate_fundaments(q, ends=True)  # the larger one is refused first
     plain = autsearch.enumerate_fundaments(q)
     ok = plain["transitive"] and with_ends["transitive"]
-    return TheoremReport(
-        "transfund",
-        "PG(3,%d)" % q,
-        q,
-        "pass" if ok else "fail",
-        {"plain": plain, "with_ends": with_ends},
-    )
+    return Found(ok, {"plain": plain, "with_ends": with_ends}, cell=("PG(3,%d)" % q, q))
 
 
 # -- toy-shaped graph checks ---------------------------------------------------
@@ -321,11 +310,8 @@ def _toy_shape(graph: LooseGraph):
     return x, y, endx, endy
 
 
-def _check_ddc(ctx: Context, options) -> TheoremReport:
-    shape = _toy_shape(ctx.graph)
-    if shape is None:
-        raise ValueError("ddc requires the two-vertex graph with one loose edge per vertex")
-    x, y, endx, endy = shape
+def _check_ddc(ctx: Context, options) -> Found:
+    x, y, endx, endy = _toy_shape(ctx.graph)
     q = ctx.q
     proj = ctx.proj
     d1 = autsearch.fixing_subgroup(proj, [[x, y, endx]])[1]
@@ -345,17 +331,14 @@ def _check_ddc(ctx: Context, options) -> TheoremReport:
         "identity": f"{d1}^2 * {c} * 2 * {e} == {proj.order}",
     }
     ok = d1 == d2 == q * (q - 1) and c == q - 1 and has_swap and expected == proj.order
-    return TheoremReport("ddc", ctx.name, q, "pass" if ok else "fail", quantities)
+    return Found(ok, quantities)
 
 
-def _check_groups_equal(ctx: Context, theorem: str) -> TheoremReport:
+def _check_groups_equal(ctx: Context, options) -> Found:
     """toy-equal and autcomb-eq: the projective and combinatorial groups
-    coincide on points; autcomb-eq needs two inner vertices."""
-    if theorem == "autcomb-eq" and len(ctx.inner) < 2:
-        return _skip(theorem, ctx, "needs at least two inner vertices")
+    coincide on points."""
     same = ctx.proj.perm_group.same_group(ctx.comb.perm_group)
-    q = {"proj_order": ctx.proj.order, "comb_order": ctx.comb.order}
-    return TheoremReport(theorem, ctx.name, ctx.q, "pass" if same else "fail", q)
+    return Found(same, {"proj_order": ctx.proj.order, "comb_order": ctx.comb.order})
 
 
 def _linear_fixing_group(ctx: Context, points) -> PermGroup:
@@ -375,11 +358,8 @@ def _overlaps(rep: dict) -> list[dict]:
     ]
 
 
-def _check_thmcp(ctx: Context, options) -> TheoremReport:
-    shape = _toy_shape(ctx.graph)
-    if shape is None:
-        raise ValueError("thmcp requires the two-vertex graph with one loose edge per vertex")
-    x, y, endx, endy = shape
+def _check_thmcp(ctx: Context, options) -> Found:
+    x, y, endx, endy = _toy_shape(ctx.graph)
     q = ctx.q
     proj = ctx.proj
     # A acts on the coordinates of y and of x's free end; it is the pointwise
@@ -398,31 +378,18 @@ def _check_thmcp(ctx: Context, options) -> TheoremReport:
         "overlaps": _overlaps(rep),
     }
     ok = rep["ok"] and A.order() == q * (q - 1) ** 2 and B.order() == q * (q - 1)
-    return TheoremReport("thmcp", ctx.name, q, "pass" if ok else "fail", quantities)
+    return Found(ok, quantities)
 
 
 # -- tree checks ----------------------------------------------------------------
 
 
-def _check_kernel_trivial(ctx: Context, options) -> TheoremReport:
+def _check_kernel_trivial(ctx: Context, options) -> Found:
     witnesses = ctx.proj.faithful_witnesses()
-    return TheoremReport(
-        "kernel-trivial",
-        ctx.name,
-        ctx.q,
-        "pass" if not witnesses else "fail",
-        {"order": ctx.proj.order},
-        witnesses[:3],
-    )
+    return Found(not witnesses, {"order": ctx.proj.order}, witnesses[:3])
 
 
-def _skip(theorem: str, ctx: Context, reason: str) -> TheoremReport:
-    return TheoremReport(theorem, ctx.name, ctx.q, "skip", {}, [], reason)
-
-
-def _check_cenprod(ctx: Context, options) -> TheoremReport:
-    if len(ctx.inner) < 2:
-        return _skip("cenprod", ctx, "needs at least two inner vertices")
+def _check_cenprod(ctx: Context, options) -> Found:
     factors = [
         autsearch.fixing_subgroup(ctx.proj, autsearch.local_spans(ctx.scheme, w))[0]
         for w in ctx.inner
@@ -436,7 +403,10 @@ def _check_cenprod(ctx: Context, options) -> TheoremReport:
         "generates": rep["generates"],
         "overlaps": _overlaps(rep),
     }
-    return TheoremReport("cenprod", ctx.name, ctx.q, "pass" if rep["ok"] else "fail", quantities)
+    return Found(rep["ok"], quantities)
+
+
+_OFF_BASIS = "an element moves an inner basis point off the basis"
 
 
 def _inner_action(ctx: Context, group: PermGroup):
@@ -454,15 +424,10 @@ def _inner_action(ctx: Context, group: PermGroup):
     return PermGroup(gens, len(idxs)), None
 
 
-def _check_inner_tree(ctx: Context, options) -> TheoremReport:
-    if len(ctx.inner) < 2:
-        return _skip("inner-tree", ctx, "needs at least two inner vertices")
+def _check_inner_tree(ctx: Context, options) -> Found:
     induced, witness = _inner_action(ctx, ctx.proj.perm_group)
     if induced is None:
-        return TheoremReport(
-            "inner-tree", ctx.name, ctx.q, "fail",
-            {}, [witness], "an element moves an inner basis point off the basis",
-        )
+        return Found(False, {}, [witness], _OFF_BASIS)
     inner_graph = ctx.graph.induced_inner_subgraph()
     colors = {
         v: (ctx.graph.decoration(v).end_edges, ctx.graph.decoration(v).loose_edges)
@@ -472,16 +437,15 @@ def _check_inner_tree(ctx: Context, options) -> TheoremReport:
     plain = graph_aut_group_perms(inner_graph)
     dec_set = {tuple(p[v] for v in ctx.inner) for p in decorated}
     induced_named = {tuple(ctx.inner[i] for i in p) for p in induced.elements()}
-    ok = induced_named == dec_set
     quantities = {
         "induced": induced.order(),
         "decorated_tree_group": len(decorated),
         "plain_tree_group": len(plain),
     }
-    return TheoremReport("inner-tree", ctx.name, ctx.q, "pass" if ok else "fail", quantities)
+    return Found(induced_named == dec_set, quantities)
 
 
-def _check_lemfield(ctx: Context, options) -> TheoremReport:
+def _check_lemfield(ctx: Context, options) -> Found:
     F = ctx.scheme.F
     quotient = ctx.proj.order // ctx.proj.linear_order
     quantities = {
@@ -492,25 +456,19 @@ def _check_lemfield(ctx: Context, options) -> TheoremReport:
         "field_automorphisms": F.e,
     }
     # Report-only: the two candidate readings are published side by side.
-    return TheoremReport("lemfield-quotient", ctx.name, ctx.q, "pass", quantities)
+    return Found(True, quantities)
 
 
-def _check_mttrees(ctx: Context, options) -> TheoremReport:
-    if not ctx.graph.is_tree():
-        raise ValueError("mttrees requires a loose tree")
-    if len(ctx.inner) < 2:
-        return _skip("mttrees", ctx, "needs at least two inner vertices")
+def _check_mttrees(ctx: Context, options) -> Found:
     e = ctx.scheme.F.e
     proj = ctx.proj
     induced, bad = _inner_action(ctx, proj.linear_perm_group)
     if induced is None:
-        return TheoremReport("mttrees", ctx.name, ctx.q, "fail", {}, [bad],
-                             "an element moves an inner basis point off the basis")
+        return Found(False, {}, [bad], _OFF_BASIS)
     fixing = _linear_fixing_group(ctx, ctx.inner_indices)
     # each permutation of the linear part has as many linear lifts as the kernel
     n_fix = fixing.order() * sum(1 for k in proj.kernel if k.frob == 0)
     tree = induced.order()
-    total = n_fix * tree * e
     quantities = {
         "central_product_order": n_fix,
         "tree_action_order": tree,
@@ -518,8 +476,7 @@ def _check_mttrees(ctx: Context, options) -> TheoremReport:
         "order": proj.order,
         "identity": f"{n_fix} * {tree} * {e} == {proj.order}",
     }
-    ok = total == proj.order
-    return TheoremReport("mttrees", ctx.name, ctx.q, "pass" if ok else "fail", quantities)
+    return Found(n_fix * tree * e == proj.order, quantities)
 
 
 # -- geometry checks -------------------------------------------------------------
@@ -533,10 +490,7 @@ def _subspace_point_sets(scheme: SchemeModel):
     sets = {}
     for dim, bases in projective.items():
         for basis in bases:
-            pts = frozenset(
-                scheme.point_index[p]
-                for p in gfq.span_points(F, basis)
-            )
+            pts = frozenset(scheme.point_index[p] for p in gfq.span_points(F, basis))
             sets[pts] = ("projective", dim)
     for patch in affine:
         span_pts = set(gfq.span_points(F, patch.basis))
@@ -546,7 +500,7 @@ def _subspace_point_sets(scheme: SchemeModel):
     return sets
 
 
-def _check_obs_subspaces(ctx: Context, options) -> TheoremReport:
+def _check_obs_subspaces(ctx: Context, options) -> Found:
     sets = _subspace_point_sets(ctx.scheme)
     gens = ctx.comb.perm_group.generators or [tuple(range(len(ctx.scheme.points)))]
     witnesses = []
@@ -556,30 +510,16 @@ def _check_obs_subspaces(ctx: Context, options) -> TheoremReport:
             if sets.get(image) != label:
                 witnesses.append((label, sorted(pts)))
                 break
-    counts = {}
-    for label in sets.values():
-        counts[f"{label[0]}_{label[1]}"] = counts.get(f"{label[0]}_{label[1]}", 0) + 1
-    return TheoremReport(
-        "obs-subspaces", ctx.name, ctx.q,
-        "pass" if not witnesses else "fail",
-        {"subspaces": counts, "generators": len(gens)},
-        witnesses[:3],
-    )
+    counts = dict(Counter(f"{kind}_{dim}" for kind, dim in sets.values()))
+    return Found(not witnesses, {"subspaces": counts, "generators": len(gens)}, witnesses[:3])
 
 
-def _check_convexity(ctx: Context, options) -> TheoremReport:
-    if not ctx.graph.is_tree():
-        raise ValueError("convexity requires a loose tree")
+def _check_convexity(ctx: Context, options) -> Found:
     rep = convexity_check(ctx.scheme)
-    return TheoremReport(
-        "convexity", ctx.name, ctx.q,
-        "pass" if rep["ok"] else "fail",
-        {"pairs_checked": rep["checked"]},
-        rep["failures"][:3],
-    )
+    return Found(rep["ok"], {"pairs_checked": rep["checked"]}, rep["failures"][:3])
 
 
-def _check_span_lemma(ctx: Context, options) -> TheoremReport:
+def _check_span_lemma(ctx: Context, options) -> Found:
     comp = ctx.scheme.completion
     names = comp.names
     real = set(ctx.graph.vertices)
@@ -602,46 +542,34 @@ def _check_span_lemma(ctx: Context, options) -> TheoremReport:
             dim = subgraph_span_dim(ctx.scheme, sub)
             if dim != k - 1:
                 witnesses.append((sub, dim))
-    return TheoremReport(
-        "span-lemma", ctx.name, ctx.q,
-        "pass" if not witnesses else "fail",
-        {"subsets": checked},
-        witnesses[:3],
-    )
+    return Found(not witnesses, {"subsets": checked}, witnesses[:3])
 
 
-def _check_decompose(ctx: Context, options) -> TheoremReport:
+def _check_decompose(ctx: Context, options) -> Found:
     rep = decompose(ctx.scheme)
-    total = sum(rep["sizes"])
-    ok = rep["disjoint"] and total == rep["ambient_size"]
-    return TheoremReport(
-        "decompose", ctx.name, ctx.q,
-        "pass" if ok else "fail",
-        {"sizes": rep["sizes"], "ambient": rep["ambient_size"], "disjoint": rep["disjoint"]},
+    ok = rep["disjoint"] and sum(rep["sizes"]) == rep["ambient_size"]
+    return Found(
+        ok, {"sizes": rep["sizes"], "ambient": rep["ambient_size"], "disjoint": rep["disjoint"]}
     )
 
 
-def _check_igp(ctx: Context, options) -> TheoremReport:
-    if len(ctx.inner) < 2:
-        return _skip("igp", ctx, "needs at least two inner vertices")
-    expected = True if options is None else options.get("expected", True)
+def _check_igp(ctx: Context, options) -> Found:
+    expected = options.get("expected", True)
     perms = list(ctx.proj.perm_group.generators) + list(ctx.comb.perm_group.generators)
     rep = autsearch.inner_graph_property(ctx.scheme, perms)
     quantities = {"holds": rep["holds"], "expected": expected}
-    verdict = "pass" if rep["holds"] == expected else "fail"
-    witnesses = [] if rep["holds"] else [rep["reason"]]
-    return TheoremReport("igp", ctx.name, ctx.q, verdict, quantities, witnesses)
+    return Found(rep["holds"] == expected, quantities, [] if rep["holds"] else [rep["reason"]])
 
 
 # -- construction rules -----------------------------------------------------------
 
 
-def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport:
+def _check_rules(ctx: Context, options) -> Found:
     """Construction invariants of the point-set model: local patch sizes and
     dimensions, clique spans, vertexless-edge counts, monotonicity under a
     graph extension, and stability of line classification under one more
     field extension."""
-    scheme = build_scheme(graph, q)
+    graph, q, scheme = ctx.graph, ctx.q, ctx.scheme
     failures = []
     # local dimension: each vertex patch has q^deg(v) rational points
     for piece in scheme.pieces:
@@ -698,74 +626,107 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
             at_m1 = at_m and prof[m] == target(m + 1)
             if at_m != at_m1:
                 failures.append(("stability", want, basis, prof))
-    return TheoremReport(
-        "rules", name, q,
-        "pass" if not failures else "fail",
-        {"secant_lines": len(lines)},
-        failures[:5],
-    )
+    return Found(not failures, {"secant_lines": len(lines)}, failures[:5])
+
+
+def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport:
+    """The rules check on one graph and q."""
+    return verify("rules", graph, q, name)
 
 
 # -- dispatch ----------------------------------------------------------------------
 
 
-# Every check by id, in suite order: whether it needs a graph and q, and the
-# check of a cell and the options.  functoriality, transroot and transfund
-# are global: they ignore the graph, and the last two default to q = 2.
+# Every check by id, in suite order: what it needs from its cell, and the
+# check of a cell and the options.  A check that needs nothing is global: it
+# ignores the graph, and transroot and transfund default to q = 2.  Every
+# other check needs a graph and q, and "tree" or "toy" a graph of that
+# shape; a check that needs "inner" is skipped below two inner vertices.
 CHECKS = {
-    "functoriality": (False, _check_functoriality),
-    "transroot": (False, _check_transroot),
-    "transfund": (False, _check_transfund),
-    "ddc": (True, _check_ddc),
-    "toy-equal": (True, lambda ctx, options: _check_groups_equal(ctx, "toy-equal")),
-    "thmcp": (True, _check_thmcp),
-    "kernel-trivial": (True, _check_kernel_trivial),
-    "cenprod": (True, _check_cenprod),
-    "inner-tree": (True, _check_inner_tree),
-    "lemfield-quotient": (True, _check_lemfield),
-    "mttrees": (True, _check_mttrees),
-    "autcomb-eq": (True, lambda ctx, options: _check_groups_equal(ctx, "autcomb-eq")),
-    "obs-subspaces": (True, _check_obs_subspaces),
-    "convexity": (True, _check_convexity),
-    "span-lemma": (True, _check_span_lemma),
-    "decompose": (True, _check_decompose),
-    "igp": (True, _check_igp),
-    "rules": (True, lambda ctx, options: check_rules(ctx.graph, ctx.q, ctx.name)),
+    "functoriality": ((), _check_functoriality),
+    "transroot": ((), _check_transroot),
+    "transfund": ((), _check_transfund),
+    "ddc": (("toy",), _check_ddc),
+    "toy-equal": (("graph",), _check_groups_equal),
+    "thmcp": (("toy",), _check_thmcp),
+    "kernel-trivial": (("graph",), _check_kernel_trivial),
+    "cenprod": (("inner",), _check_cenprod),
+    "inner-tree": (("inner",), _check_inner_tree),
+    "lemfield-quotient": (("graph",), _check_lemfield),
+    "mttrees": (("tree", "inner"), _check_mttrees),
+    "autcomb-eq": (("inner",), _check_groups_equal),
+    "obs-subspaces": (("graph",), _check_obs_subspaces),
+    "convexity": (("tree",), _check_convexity),
+    "span-lemma": (("graph",), _check_span_lemma),
+    "decompose": (("graph",), _check_decompose),
+    "igp": (("inner",), _check_igp),
+    "rules": (("graph",), _check_rules),
 }
 CHECK_IDS = tuple(CHECKS)
+
+# The graph shapes a check may need: a test that is falsy on a graph
+# without the shape, and what a refusal says.
+_SHAPES = {
+    "tree": (LooseGraph.is_tree, "requires a loose tree"),
+    "toy": (_toy_shape, "requires the two-vertex graph with one loose edge per vertex"),
+}
+
+
+def refusal(theorem: str, graph: LooseGraph | None) -> str | None:
+    """Why the check cannot run on the graph (None: on no graph), or None if
+    it can."""
+    if theorem not in CHECKS:
+        return f"unknown check {theorem!r}"
+    needs = CHECKS[theorem][0]
+    if needs and graph is None:
+        return f"check {theorem!r} needs a graph and q"
+    for tag in needs:
+        if tag in _SHAPES and not _SHAPES[tag][0](graph):
+            return f"{theorem} {_SHAPES[tag][1]}"
+    return None
 
 
 def verify(theorem: str, graph: LooseGraph | None, q: int | None = None,
            name: str = "graph", options: dict | None = None,
            context: Context | None = None) -> TheoremReport:
-    if theorem not in CHECKS:
-        raise ValueError(f"unknown check {theorem!r}")
-    needs_graph, check = CHECKS[theorem]
-    if needs_graph and (graph is None or q is None):
-        raise ValueError(f"check {theorem!r} needs a graph and q")
+    """Run one check on the cell (graph, q) and report it under its id.  A
+    cell that lacks what the check needs is refused (ValueError); one with
+    fewer than two inner vertices is skipped if the check needs them."""
+    problem = refusal(theorem, None if q is None else graph)
+    if problem:
+        raise ValueError(problem)
+    needs, check = CHECKS[theorem]
+    ctx = context if context is not None else Context(graph, q, name)
+    if "inner" in needs and len(ctx.inner) < 2:
+        return TheoremReport(theorem, ctx.name, ctx.q, "skip",
+                             detail="needs at least two inner vertices")
     start = time.perf_counter()
-    report = check(context if context is not None else Context(graph, q, name), options)
-    report.seconds = time.perf_counter() - start
-    return report
+    found = check(ctx, options or {})
+    seconds = time.perf_counter() - start
+    label, q = found.cell or (ctx.name, ctx.q)
+    return TheoremReport(theorem, label, q, "pass" if found.holds else "fail",
+                         found.quantities, found.witnesses, found.note, seconds)
 
 
 def run_suite(entries, qs=(2, 3)) -> dict:
     """Run the per-graph check lists over the given field sizes.
 
     Each entry is a dict with keys: name, graph (LooseGraph), checks (list of
-    ids), and optional flags (igp_expected).  Global checks (functoriality,
-    transroot, transfund) run once per q where listed.
+    ids), and optional qs and igp_expected.  Global checks (functoriality,
+    transroot, transfund) run once per q where listed, functoriality once.
+    Every field is built before the first check, so a bad size is refused
+    (ValueError) before any check runs.
     """
+    for q in dict.fromkeys(q for entry in entries for q in entry.get("qs", qs)):
+        gfq.get_field(q)
     reports = []
     for entry in entries:
         graph = entry["graph"]
         entry_qs = entry.get("qs", qs)
+        options = {"expected": entry.get("igp_expected", True)}
         for q in entry_qs:
             ctx = None if graph is None else Context(graph, q, entry["name"])
             for check in entry["checks"]:
-                options = None
-                if check == "igp":
-                    options = {"expected": entry.get("igp_expected", True)}
                 if check == "functoriality" and q != entry_qs[0]:
                     continue
                 reports.append(verify(check, graph, q, entry["name"], options, ctx))

@@ -228,3 +228,48 @@ def test_suite_rejects_a_bad_manifest_value(tmp_path, capsys, option):
     manifest.write_text(f"graph {CORPUS / 'gamma2.lg'} igp {option}\n")
     code, out, err = run(capsys, "suite", manifest)
     assert code == 2 and out == "" and err.startswith("error: line 1: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--json", "points", CORPUS / "toy.lg"),
+    ("points", CORPUS / "toy.lg", "--json"),
+    ("--json", "points", CORPUS / "toy.lg", "--json"),
+])
+def test_json_is_read_before_or_after_the_command(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["coordinates"] == ["x", "y", "lx#1", "ly#1"]
+    code, out, _ = run(capsys, "points", CORPUS / "toy.lg")
+    assert out.startswith("x y lx#1 ly#1\n")
+
+
+def test_suite_and_verify_json_carry_every_report_field(tmp_path, capsys):
+    manifest = tmp_path / "mini.txt"
+    manifest.write_text(f"graph {CORPUS / 'gamma2.lg'} igp q=2\n"
+                        f"graph {CORPUS / 'p3.lg'} cenprod q=2\n")
+    code, out, _ = run(capsys, "suite", manifest, "--json")
+    assert code == 1
+    failed, skipped = json.loads(out)["reports"]
+    fields = {"theorem", "graph", "q", "verdict", "quantities", "witnesses", "detail", "seconds"}
+    assert set(failed) == set(skipped) == fields
+    assert failed["verdict"] == "fail" and failed["witnesses"]
+    assert skipped["detail"] == "needs at least two inner vertices"
+    code, out, _ = run(capsys, "verify", "igp", CORPUS / "gamma2.lg", "-q", 2, "--json")
+    alone = json.loads(out)
+    assert code == 1 and set(alone) == fields
+    assert alone["witnesses"] == failed["witnesses"]
+
+
+def test_bad_manifest_or_q_exits_two_before_any_check(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.theorems, "verify", refuse)
+    manifest = tmp_path / "bad.txt"
+    manifest.write_text(f"global functoriality\ngraph {CORPUS / 'toy.lg'} ddc,ddx\n")
+    for argv, message in (
+        (("suite", manifest), "error: line 2: unknown check 'ddx'\n"),
+        (("suite", CORPUS / "manifest.txt", "-q", 6), "error: q=6 is not a prime power\n"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)

@@ -95,3 +95,29 @@ def test_parse_manifest_names_the_line_of_a_bad_value(option):
     text = f"global functoriality\ngraph gamma2.lg igp {option}\n"
     with pytest.raises(formats.FormatError, match="^line 2: "):
         formats.parse_manifest(text, base_dir=str(CORPUS))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("global functoriality\ngraph toy.lg ddc,ddx\n", "line 2: unknown check 'ddx'"),
+    ("global transroot,ddc\n", "line 1: check 'ddc' needs a graph and q"),
+    ("graph toy.lg rules\ngraph p4.lg rules,ddc\n",
+     "line 2: ddc requires the two-vertex graph with one loose edge per vertex"),
+    ("graph gamma1.lg convexity\n", "line 1: convexity requires a loose tree"),
+    ("global transroot\ngraph toy.lg ddc q=2,6\n", "line 2: q=6 is not a prime power"),
+    ("global transroot q=256\n", "line 1: q=256 exceeds supported bound 128"),
+])
+def test_parse_manifest_refuses_a_check_or_q_by_its_line(text, message):
+    with pytest.raises(formats.FormatError, match=f"^{message}$"):
+        formats.parse_manifest(text, base_dir=str(CORPUS))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("vertex a\nvertex a\n", "line 2: duplicate vertex 'a'"),
+    ("vertex a\nvertex b\nedge e a b\nedge e b a\n", "line 4: duplicate edge 'e'"),
+    ("vertex a b\n", "line 1: vertex takes one name"),
+    ("vertex a\nedge e a b\n", "line 2: edge 'e' references unknown vertex 'b'"),
+    ("vertex a\nloop a\n", "line 2: unknown directive 'loop'"),
+])
+def test_parse_graph_names_the_line_of_a_bad_directive(text, message):
+    with pytest.raises(formats.FormatError, match=f"^{message}$"):
+        formats.parse_graph(text)

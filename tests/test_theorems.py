@@ -269,3 +269,78 @@ def test_thmcp_takes_the_linear_part_at_q4():
     assert rep.verdict == "pass"
     assert (rep.quantities["A"], rep.quantities["B"]) == (36, 12)
     assert rep.quantities["fixing_group"] == 432  # 864 with the Frobenius
+
+
+def _cell_for(needs):
+    """A corpus graph with what a check needs, at q=2: none for a global
+    check, toy for the toy shape, else p4 (a tree with two inner vertices)."""
+    if not needs:
+        return None, "-"
+    name = "toy" if "toy" in needs else "p4"
+    return corpus_graph(name), name
+
+
+@pytest.mark.parametrize("check", theorems.CHECK_IDS)
+def test_every_check_reports_under_its_own_id(check):
+    graph, name = _cell_for(theorems.CHECKS[check][0])
+    rep = theorems.verify(check, graph, 2, name)
+    assert rep.theorem == check
+    assert rep.verdict in ("pass", "fail") and rep.seconds > 0
+
+
+# the corpus graph that lacks each graph shape, and what the refusal says
+_LACKS = {
+    "toy": ("p4", "requires the two-vertex graph with one loose edge per vertex"),
+    "tree": ("gamma1", "requires a loose tree"),
+}
+
+
+@pytest.mark.parametrize("check", theorems.CHECK_IDS)
+def test_each_need_refuses_or_skips_with_its_message(check):
+    needs = theorems.CHECKS[check][0]
+    if not needs:
+        assert theorems.refusal(check, None) is None
+        return
+    for graph, q in ((None, 2), (corpus_graph("toy"), None)):
+        with pytest.raises(ValueError, match=f"^check '{check}' needs a graph and q$"):
+            theorems.verify(check, graph, q)
+    for tag in needs:
+        if tag == "inner":
+            rep = theorems.verify(check, corpus_graph("p3"), 2, "p3")
+            assert (rep.theorem, rep.graph, rep.q) == (check, "p3", 2)
+            assert (rep.verdict, rep.detail) == ("skip", "needs at least two inner vertices")
+        elif tag != "graph":
+            name, message = _LACKS[tag]
+            with pytest.raises(ValueError, match=f"^{check} {message}$"):
+                theorems.verify(check, corpus_graph(name), 2, name)
+
+
+def test_suite_cell_builds_one_scheme_for_its_checks(monkeypatch):
+    from loosegeo import scheme as scheme_mod
+
+    built = []
+    init = scheme_mod.SchemeModel.__init__
+
+    def counted(self, graph, q):
+        built.append(len(graph.edges))
+        init(self, graph, q)
+
+    monkeypatch.setattr(scheme_mod.SchemeModel, "__init__", counted)
+    entries = formats.parse_manifest(f"graph {CORPUS / 'toy.lg'} decompose,rules q=2\n")
+    result = theorems.run_suite(entries)
+    assert [(r.theorem, r.verdict) for r in result["reports"]] == [
+        ("decompose", "pass"), ("rules", "pass")]
+    # the cell's scheme, and the one with an added loose edge that rules compares
+    assert built == [3, 4]
+
+
+def test_suite_refuses_a_bad_field_size_before_any_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(theorems, "verify", refuse)
+    entries = formats.parse_manifest(f"global transroot\ngraph {CORPUS / 'toy.lg'} ddc\n")
+    for qs, message in (((2, 6), "q=6 is not a prime power"),
+                        ((256,), "q=256 exceeds supported bound 128")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theorems.run_suite(entries, qs)
