@@ -49,12 +49,12 @@ class Collineation:
 
 def canonical_matrix(F: gfq.FField, M) -> tuple[tuple[int, ...], ...]:
     """Scale a matrix so its first nonzero entry is 1 (projective normal form)."""
-    for row in M:
-        for c in row:
-            if c != 0:
-                inv = F.inv(c)
-                return tuple(tuple(F.mul(inv, x) for x in row) for row in M)
-    raise ValueError("zero matrix")
+    return _square(gfq.normalize_point(F, tuple(x for row in M for x in row)), len(M))
+
+
+def _square(flat, m: int) -> tuple[tuple[int, ...], ...]:
+    """The m x m matrix with the m^2 entries of flat, row by row."""
+    return tuple(tuple(flat[a * m:(a + 1) * m]) for a in range(m))
 
 
 def frobenius_vec(F: gfq.FField, v, t: int):
@@ -89,28 +89,25 @@ def _basis_vec(m: int, i: int) -> tuple[int, ...]:
 
 def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
     """Whether the image of one locally closed piece under M lies in X over
-    every extension, checked with exact point polynomials."""
-    F, m = scheme.F, scheme.m
-    bits = [i for i in range(m) if piece.support_mask >> i & 1]
-    cols = {i: gfq.mat_vec(F, M, _basis_vec(m, i)) for i in bits}
+    every extension, checked with exact point polynomials of the columns of
+    M on the piece's support."""
+    cols = {i: col for i, col in enumerate(zip(*M)) if piece.support_mask >> i & 1}
     if piece.kind == "gm":
-        excluded = sum(
-            1 for i in bits
-            if gfq.normalize_point(F, cols[i]) in scheme.point_index
-        )
-        return scheme.point_polynomial(tuple(cols.values())) == (excluded - 1, 1)
-    full = scheme.point_polynomial(tuple(cols[i] for i in bits))
-    if len(bits) == 1:
+        hit = [gfq.normalize_point(scheme.F, c) in scheme.point_index for c in cols.values()]
+        return scheme.point_polynomial(tuple(cols.values())) == (sum(hit) - 1, 1)
+    full = scheme.point_polynomial(tuple(cols.values()))
+    if len(cols) == 1:
         return full == (1,)
-    hyp = scheme.point_polynomial(tuple(cols[i] for i in bits if i != piece.required_bit))
-    return full == add_monomial(hyp, len(bits) - 1)
+    hyp = scheme.point_polynomial(tuple(col for i, col in cols.items() if i != piece.required_bit))
+    return full == add_monomial(hyp, len(cols) - 1)
 
 
 def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
     """Exact scheme-stabilizer test for a linear collineation.
 
-    X is the union of its pieces, so M stabilizes X iff the image of every
-    piece under M and under M^{-1} is contained in X over all extensions.
+    X is the union of its pieces, so an invertible M maps X into itself iff
+    the image of every piece under M is contained in X over all extensions;
+    then M maps each finite set X(F_{q^r}) injectively, so onto, itself.
     Mapping the rational points into X is checked first as a fast filter; a
     point sent to zero shows that M is singular.
     """
@@ -119,92 +116,80 @@ def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
         img = gfq.mat_vec(F, M, p)
         if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
             return False
-    Minv = gfq.mat_inv(F, M)
-    return Minv is not None and all(
-        _piece_contained(scheme, mat, piece) for mat in (M, Minv) for piece in scheme.pieces
+    return gfq.mat_rank(F, M) == scheme.m and all(
+        _piece_contained(scheme, M, piece) for piece in scheme.pieces
     )
 
 
 # -- projective stabilizer ----------------------------------------------------
 
 
-def _restrict(F: gfq.FField, basis: list, pairs) -> list:
-    """A basis of the matrices M in the span of `basis` with M u parallel to
-    y (or zero) for every pair (u, y) of vectors, y normalized.
-
-    The conditions are linear in M: with p the pivot of y (y_p = 1),
-    (M u)_b - y_b (M u)_p = 0 for each b != p.  They are solved for the
-    coefficients of M in the current basis, so each pair costs a system
-    with as many unknowns as the basis has matrices.
-    """
-    m = len(basis[0])
-    for u, y in pairs:
-        if not basis:
-            break
-        images = [gfq.mat_vec(F, B, u) for B in basis]
-        p = next(c for c, v in enumerate(y) if v)
-        rows = [
-            [F.sub(w[b], F.mul(y[b], w[p])) for w in images]
-            for b in range(m) if b != p
-        ]
-        coeffs = gfq.null_space(F, rows, len(basis))
-        if len(coeffs) < len(basis):
-            basis = [_combine(F, lam, basis) for lam in coeffs]
-    return basis
+MAX_LIFT_CANDIDATES = 10**5
 
 
-def _combine(F: gfq.FField, lam, basis):
-    m = len(basis[0])
-    out = [[0] * m for _ in range(m)]
-    for c, B in zip(lam, basis):
-        if c:
-            for a in range(m):
-                out[a] = [F.add(x, F.mul(c, y)) for x, y in zip(out[a], B[a])]
-    return tuple(tuple(row) for row in out)
+def _conditions(F: gfq.FField, u, y) -> tuple[tuple[int, ...], ...]:
+    """The m - 1 linear conditions on the m^2 entries of M, row by row, for
+    M u parallel to y (or zero), y normalized: with p the pivot of y
+    (y_p = 1), (M u)_b - y_b (M u)_p = 0 for each b != p."""
+    m, p = len(u), y.index(1)
+    rows = []
+    for b in range(m):
+        if b != p:
+            row = [0] * (m * m)
+            row[b * m:(b + 1) * m] = u
+            row[p * m:(p + 1) * m] = gfq.vec_scale(F, F.neg(y[b]), u)
+            rows.append(tuple(row))
+    return tuple(rows)
 
 
 class _Lifter:
     """Lifts of point permutations to collineations stabilizing X.
 
     A lift of the permutation pi is a pair (M, t) with M . Frob^t(x_i)
-    parallel to x_pi(i) for every rational point x_i; those M form a linear
-    space.  For pi = identity and t = 0 it contains the scalars, and its
-    dimension `dim` is reached already on the `determining` points, chosen
-    greedily.  Whenever pi has a lift (M0, t), its space is M0 times the
-    Frobenius twist of the identity's, so it has dimension `dim` on the
-    determining points as on all of them: a solution there of another
-    dimension rules pi out at once, and otherwise each of its elements is
-    checked on every point.
+    parallel to x_pi(i) for every rational point x_i; those M form the null
+    space of the pairs' `_conditions`.  For pi = identity and t = 0 it holds
+    the scalars, and its dimension `dim` is reached already on the
+    `determining` points, whose conditions raise the rank of those before
+    them, up to m^2 - 1 (the scalars).  Whenever pi has a lift (M0, t), its
+    space is M0 times the Frobenius twist of the identity's, so it has
+    dimension `dim` on the determining points as on all of them: a solution
+    there of another dimension rules pi out at once, and otherwise each of
+    its elements is checked on every point.  All the identity's lifts are
+    checked, so a space of more than MAX_LIFT_CANDIDATES is refused.
     """
 
     def __init__(self, scheme: SchemeModel):
         F, m = scheme.F, scheme.m
         self.scheme = scheme
-        zero = (0,) * m
-        self.units = [
-            tuple(_basis_vec(m, c) if r == a else zero for r in range(m))
-            for a in range(m) for c in range(m)
-        ]
         self.frob_points = [[frobenius_vec(F, p, t) for p in scheme.points] for t in range(F.e)]
-        basis = self.units
+        rows: tuple = ()
         self.determining = []
         for i, p in enumerate(scheme.points):
-            smaller = _restrict(F, basis, [(p, p)])
-            if len(smaller) < len(basis):
+            if len(rows) == m * m - 1:
+                break
+            grown = gfq.echelon(F, rows + _conditions(F, p, p))
+            if len(grown) > len(rows):
                 self.determining.append(i)
-                basis = smaller
-        self.dim = len(basis)
+                rows = grown
+        self.dim = m * m - len(rows)
+        candidates = gfq.pg_size(F.q, self.dim)
+        if candidates > MAX_LIFT_CANDIDATES:
+            raise ValueError(
+                f"the lifts of the identity form a space of dimension {self.dim}: "
+                f"{candidates} candidate matrices, more than the bound {MAX_LIFT_CANDIDATES}"
+            )
         self._first: dict = {}
 
     def lifts(self, perm):
         """Every stabilizing lift (M, t) of the permutation, M up to scalars."""
-        F, pts = self.scheme.F, self.scheme.points
+        F, m, pts = self.scheme.F, self.scheme.m, self.scheme.points
         for t, src in enumerate(self.frob_points):
-            basis = _restrict(F, self.units, [(src[i], pts[perm[i]]) for i in self.determining])
+            rows = [row for i in self.determining for row in _conditions(F, src[i], pts[perm[i]])]
+            basis = gfq.null_space(F, rows, m * m)
             if len(basis) != self.dim:
                 continue
-            for lam in gfq.projective_points(F, len(basis)):
-                M = _combine(F, lam, basis)
+            for lam in gfq.projective_points(F, self.dim):
+                M = _square(gfq.mat_mul(F, (lam,), basis)[0], m)
                 images = (gfq.mat_vec(F, M, u) for u in src)
                 if all(
                     any(img) and gfq.normalize_point(F, img) == pts[j]
@@ -341,16 +326,14 @@ def proj_aut_group(scheme: SchemeModel) -> ProjAut:
 
 
 def exhaustive_stabilizer(scheme: SchemeModel) -> list:
-    """Independent brute-force linear stabilizer, iterating every invertible
-    matrix.  Only feasible for tiny parameters; used as an oracle."""
+    """Independent brute-force linear stabilizer, iterating every matrix.
+    Only feasible for tiny parameters; used as an oracle."""
     F, m = scheme.F, scheme.m
     if F.q ** (m * m) > 10**6:
         raise ValueError("ambient matrix group too large for exhaustion")
     found = {}
     for entries in product(F.elements(), repeat=m * m):
-        M = tuple(tuple(entries[r * m + c] for c in range(m)) for r in range(m))
-        if gfq.mat_rank(F, M) != m:
-            continue
+        M = _square(entries, m)
         if collineation_stabilizes(scheme, M):
             found[canonical_matrix(F, M)] = True
     return sorted(found)

@@ -278,17 +278,6 @@ def subset_ranks(F: FField, vectors) -> list[int]:
     return [len(basis) for basis in bases]
 
 
-def mat_inv(F: FField, M):
-    """Inverse of a square matrix, or None if singular: the reduced echelon
-    form of [M | I] is [I | M^-1] exactly when M is invertible."""
-    n = len(M)
-    ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rows = echelon(F, [tuple(M[i]) + ident[i] for i in range(n)])
-    if any(row[:n] != e for row, e in zip(rows, ident)):
-        return None
-    return tuple(row[n:] for row in rows)
-
-
 def null_space(F: FField, rows, n_cols: int) -> list[tuple[int, ...]]:
     """A basis of {x : M x = 0} for the matrix with the given rows and
     n_cols columns, read off its reduced echelon form: one vector per free

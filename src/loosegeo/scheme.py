@@ -91,10 +91,6 @@ class SchemeModel:
                 mask |= 1 << i
         return mask
 
-    def contains(self, vec) -> bool:
-        """Membership of a nonzero coordinate vector (over any extension, by support)."""
-        return self.support_mask(vec) in self._good_supports
-
     # -- counting over extensions -------------------------------------------
 
     def _lookup(self, cache: dict, rows):
@@ -153,18 +149,23 @@ class SchemeModel:
     def count_in_subspace(self, rows, r: int) -> int:
         """Number of F_{q^r}-points of the subspace spanned by rows that lie
         in the scheme's point set."""
-        if r < 1:
-            raise ValueError(f"extension degree must be at least 1, got {r}")
-        x = self.q**r
+        x = _field_size(self.q, r)
         return sum(c * x**d for d, c in enumerate(self.point_polynomial(rows)))
 
     def point_count(self, r: int = 1) -> int:
         """|X(F_{q^r})| from the support census (no enumeration)."""
-        x = self.q**r
+        x = _field_size(self.q, r)
         total = 0
         for mask in self._good_supports:
             total += (x - 1) ** (bin(mask).count("1") - 1)
         return total
+
+
+def _field_size(q: int, r: int) -> int:
+    """q^r, for an extension degree r of at least 1."""
+    if r < 1:
+        raise ValueError(f"extension degree must be at least 1, got {r}")
+    return q**r
 
 
 def support_points(F: gfq.FField, m: int, masks) -> list[tuple[int, ...]]:
@@ -276,27 +277,21 @@ class AffinePatch:
     basis: tuple[tuple[int, ...], ...]  # projective completion P
     hyperplane: tuple[tuple[int, ...], ...]  # H with P \ H inside the scheme
     dim: int  # affine dimension
-    completed: bool  # whether P itself is fully contained
 
 
 def _hyperplanes_of(F: gfq.FField, basis):
-    """All hyperplanes of the subspace spanned by basis, as echelon bases."""
-    k = len(basis)
-    out = set()
-    for coeffs in gfq.projective_points(F, k):
-        # kernel of the functional sum coeffs_i * y_i on internal coordinates
-        hyp = []
-        pivot = next(i for i in range(k) if coeffs[i] != 0)
-        for i in range(k):
-            if i == pivot:
-                continue
-            # internal vector e_i - (c_i / c_pivot) e_pivot lies in the kernel
-            factor = F.neg(F.div(coeffs[i], coeffs[pivot]))
-            vec = tuple(
-                F.add(basis[i][t], F.mul(factor, basis[pivot][t])) for t in range(len(basis[0]))
-            )
-            hyp.append(vec)
-        out.add(gfq.echelon(F, hyp) if hyp else ())
+    """All hyperplanes of the subspace spanned by basis, as sorted echelon
+    bases: the kernel of each functional c on internal coordinates, with
+    c_p = 1 at its first nonzero p, is spanned by basis[i] - c_i basis[p]
+    for i != p."""
+    out = []
+    for c in gfq.projective_points(F, len(basis)):
+        p = c.index(1)
+        spanning = [
+            gfq.vec_add(F, basis[i], gfq.vec_scale(F, F.neg(c[i]), basis[p]))
+            for i in range(len(basis)) if i != p
+        ]
+        out.append(gfq.echelon(F, spanning))
     return sorted(out)
 
 
@@ -333,7 +328,7 @@ def enumerate_subspaces(scheme: SchemeModel):
             if not fully:
                 for hyp in _hyperplanes_of(scheme.F, basis):
                     if poly == add_monomial(scheme.point_polynomial(hyp), d):
-                        affine.append(AffinePatch(basis, hyp, d, False))
+                        affine.append(AffinePatch(basis, hyp, d))
         if k == dmax + 1:
             break
         level = set()

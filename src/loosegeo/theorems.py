@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
+from typing import Callable, NamedTuple
 
 from . import autsearch, gfq, matrices
 from .graphs import LooseGraph, LooseMorphism, graph_aut_group_perms
@@ -637,30 +638,36 @@ def check_rules(graph: LooseGraph, q: int, name: str = "graph") -> TheoremReport
 # -- dispatch ----------------------------------------------------------------------
 
 
-# Every check by id, in suite order: what it needs from its cell, and the
-# check of a cell and the options.  A check that needs nothing is global: it
-# ignores the graph, and transroot and transfund default to q = 2.  Every
+class Check(NamedTuple):
+    needs: tuple  # what the check needs from its cell
+    run: Callable[[Context, dict], Found]  # the check of a cell and the options
+    once: bool = False  # whether a suite entry runs it at its first q alone
+
+
+# Every check by id, in suite order.  A check that needs nothing is global:
+# it ignores the graph, and transroot and transfund default to q = 2, while
+# functoriality works over F_2 alone, so a suite entry runs it once.  Every
 # other check needs a graph and q, and "tree" or "toy" a graph of that
 # shape; a check that needs "inner" is skipped below two inner vertices.
 CHECKS = {
-    "functoriality": ((), _check_functoriality),
-    "transroot": ((), _check_transroot),
-    "transfund": ((), _check_transfund),
-    "ddc": (("toy",), _check_ddc),
-    "toy-equal": (("graph",), _check_groups_equal),
-    "thmcp": (("toy",), _check_thmcp),
-    "kernel-trivial": (("graph",), _check_kernel_trivial),
-    "cenprod": (("inner",), _check_cenprod),
-    "inner-tree": (("inner",), _check_inner_tree),
-    "lemfield-quotient": (("graph",), _check_lemfield),
-    "mttrees": (("tree", "inner"), _check_mttrees),
-    "autcomb-eq": (("inner",), _check_groups_equal),
-    "obs-subspaces": (("graph",), _check_obs_subspaces),
-    "convexity": (("tree",), _check_convexity),
-    "span-lemma": (("graph",), _check_span_lemma),
-    "decompose": (("graph",), _check_decompose),
-    "igp": (("inner",), _check_igp),
-    "rules": (("graph",), _check_rules),
+    "functoriality": Check((), _check_functoriality, once=True),
+    "transroot": Check((), _check_transroot),
+    "transfund": Check((), _check_transfund),
+    "ddc": Check(("toy",), _check_ddc),
+    "toy-equal": Check(("graph",), _check_groups_equal),
+    "thmcp": Check(("toy",), _check_thmcp),
+    "kernel-trivial": Check(("graph",), _check_kernel_trivial),
+    "cenprod": Check(("inner",), _check_cenprod),
+    "inner-tree": Check(("inner",), _check_inner_tree),
+    "lemfield-quotient": Check(("graph",), _check_lemfield),
+    "mttrees": Check(("tree", "inner"), _check_mttrees),
+    "autcomb-eq": Check(("inner",), _check_groups_equal),
+    "obs-subspaces": Check(("graph",), _check_obs_subspaces),
+    "convexity": Check(("tree",), _check_convexity),
+    "span-lemma": Check(("graph",), _check_span_lemma),
+    "decompose": Check(("graph",), _check_decompose),
+    "igp": Check(("inner",), _check_igp),
+    "rules": Check(("graph",), _check_rules),
 }
 CHECK_IDS = tuple(CHECKS)
 
@@ -677,7 +684,7 @@ def refusal(theorem: str, graph: LooseGraph | None) -> str | None:
     it can."""
     if theorem not in CHECKS:
         return f"unknown check {theorem!r}"
-    needs = CHECKS[theorem][0]
+    needs = CHECKS[theorem].needs
     if needs and graph is None:
         return f"check {theorem!r} needs a graph and q"
     for tag in needs:
@@ -695,7 +702,7 @@ def verify(theorem: str, graph: LooseGraph | None, q: int | None = None,
     problem = refusal(theorem, None if q is None else graph)
     if problem:
         raise ValueError(problem)
-    needs, check = CHECKS[theorem]
+    needs, check, _ = CHECKS[theorem]
     ctx = context if context is not None else Context(graph, q, name)
     if "inner" in needs and len(ctx.inner) < 2:
         return TheoremReport(theorem, ctx.name, ctx.q, "skip",
@@ -712,10 +719,10 @@ def run_suite(entries, qs=(2, 3)) -> dict:
     """Run the per-graph check lists over the given field sizes.
 
     Each entry is a dict with keys: name, graph (LooseGraph), checks (list of
-    ids), and optional qs and igp_expected.  Global checks (functoriality,
-    transroot, transfund) run once per q where listed, functoriality once.
-    Every field is built before the first check, so a bad size is refused
-    (ValueError) before any check runs.
+    ids), and optional qs and igp_expected.  Each check runs at every q of
+    its entry, or at the first alone if it runs `once`.  Every field is
+    built before the first check, so a bad size is refused (ValueError)
+    before any check runs.
     """
     for q in dict.fromkeys(q for entry in entries for q in entry.get("qs", qs)):
         gfq.get_field(q)
@@ -724,11 +731,10 @@ def run_suite(entries, qs=(2, 3)) -> dict:
         graph = entry["graph"]
         entry_qs = entry.get("qs", qs)
         options = {"expected": entry.get("igp_expected", True)}
-        for q in entry_qs:
+        for i, q in enumerate(entry_qs):
             ctx = None if graph is None else Context(graph, q, entry["name"])
             for check in entry["checks"]:
-                if check == "functoriality" and q != entry_qs[0]:
-                    continue
-                reports.append(verify(check, graph, q, entry["name"], options, ctx))
+                if not (i and CHECKS[check].once):
+                    reports.append(verify(check, graph, q, entry["name"], options, ctx))
     failed = [r for r in reports if r.verdict == "fail"]
     return {"reports": reports, "failed": failed, "ok": not failed}

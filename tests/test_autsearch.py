@@ -1,14 +1,23 @@
+from itertools import product
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from loosegeo import autsearch, gfq, permgroup
+from loosegeo.graphs import LooseGraph
 from loosegeo.scheme import build_scheme, classify_lines
 from conftest import CORPUS, corpus_graph
 from test_formats import loose_graphs
 
 
 def model(name, q):
-    return build_scheme(corpus_graph(name), q)
+    """The scheme of a corpus graph; a name ending in "+ve" adds one
+    vertexless edge to it."""
+    base, plus_ve, _ = name.partition("+ve")
+    g = corpus_graph(base)
+    if plus_ve:
+        g = LooseGraph(g.vertices, {**g.edges, "ve": (None, None)})
+    return build_scheme(g, q)
 
 
 @pytest.mark.parametrize("name,q,order", [
@@ -73,6 +82,148 @@ def test_punctured_line_contained_only_if_its_ends_are_not_hit():
     # (1, 1) and (0, 1), so (1, 0), outside X, is in the image: on the line
     # x - 1 points lie in X, one of them the image of an excluded end
     assert not autsearch._piece_contained(scheme, ((1, 0), (1, 1)), piece)
+
+
+def reference_piece_contained(scheme, M, piece):
+    """The piece test reading each column on the support as M times a unit
+    vector."""
+    F, m = scheme.F, scheme.m
+    bits = [i for i in range(m) if piece.support_mask >> i & 1]
+    cols = {i: gfq.mat_vec(F, M, autsearch._basis_vec(m, i)) for i in bits}
+    if piece.kind == "gm":
+        excluded = sum(1 for i in bits if gfq.normalize_point(F, cols[i]) in scheme.point_index)
+        return scheme.point_polynomial(tuple(cols.values())) == (excluded - 1, 1)
+    full = scheme.point_polynomial(tuple(cols[i] for i in bits))
+    if len(bits) == 1:
+        return full == (1,)
+    hyp = scheme.point_polynomial(tuple(cols[i] for i in bits if i != piece.required_bit))
+    return full == autsearch.add_monomial(hyp, len(bits) - 1)
+
+
+def two_sided_stabilizes(scheme, M):
+    """The two-sided rule: the rational points map into X, M is invertible,
+    its inverse read off the reduced echelon form [I | M^-1] of [M | I], and
+    every piece is contained in X under M and under M^-1."""
+    F, m = scheme.F, scheme.m
+    for p in scheme.points:
+        img = gfq.mat_vec(F, M, p)
+        if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
+            return False
+    ident = [autsearch._basis_vec(m, i) for i in range(m)]
+    rows = gfq.echelon(F, [tuple(M[i]) + ident[i] for i in range(m)])
+    if [row[:m] for row in rows] != ident:
+        return False
+    inverse = tuple(row[m:] for row in rows)
+    return all(
+        reference_piece_contained(scheme, mat, piece)
+        for mat in (M, inverse) for piece in scheme.pieces
+    )
+
+
+def assert_one_sided_rule_matches_two_sided(scheme):
+    F, m = scheme.F, scheme.m
+    assert F.q ** (m * m) <= 10**5
+    accepted = 0
+    for entries in product(F.elements(), repeat=m * m):
+        M = autsearch._square(entries, m)
+        verdict = autsearch.collineation_stabilizes(scheme, M)
+        assert verdict == two_sided_stabilizes(scheme, M), M
+        accepted += verdict
+    assert accepted  # the scalars at least
+
+
+@pytest.mark.parametrize("name,q", [("toy", 2), ("k2", 2), ("ve", 2), ("ve", 3)])
+def test_one_sided_rule_matches_two_sided_on_every_matrix(name, q):
+    assert_one_sided_rule_matches_two_sided(model(name, q))
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3]))
+def test_one_sided_rule_matches_two_sided_on_random_graphs(g, q):
+    m = len(g.completion())
+    assume(1 <= m and q ** (m * m) <= 10**5)
+    assert_one_sided_rule_matches_two_sided(build_scheme(g, q))
+
+
+def reference_restrict(F, basis, pairs):
+    """A basis of the matrices M in the span of `basis` with M u parallel to
+    y (or zero) for each pair (u, y), y normalized, restricted one pair at a
+    time: with p the pivot of y, (M u)_b - y_b (M u)_p = 0 for each b != p,
+    solved for the coefficients of M in the current basis."""
+    m = len(basis[0])
+    for u, y in pairs:
+        if not basis:
+            break
+        images = [gfq.mat_vec(F, B, u) for B in basis]
+        p = next(c for c, v in enumerate(y) if v)
+        rows = [[F.sub(w[b], F.mul(y[b], w[p])) for w in images] for b in range(m) if b != p]
+        coeffs = gfq.null_space(F, rows, len(basis))
+        if len(coeffs) < len(basis):
+            basis = [reference_combine(F, lam, basis) for lam in coeffs]
+    return basis
+
+
+def reference_combine(F, lam, basis):
+    m = len(basis[0])
+    out = [[0] * m for _ in range(m)]
+    for c, B in zip(lam, basis):
+        for a in range(m):
+            out[a] = [F.add(x, F.mul(c, y)) for x, y in zip(out[a], B[a])]
+    return tuple(tuple(row) for row in out)
+
+
+def flat_span(F, matrices):
+    return gfq.echelon(F, [tuple(x for row in M for x in row) for M in matrices])
+
+
+def assert_lift_spaces_match_reference(scheme):
+    """`_Lifter`'s determining points, dimension and the lift space of the
+    identity and of every combinatorial generator at each Frobenius power
+    against the space restricted from the m^2 unit matrices."""
+    F, m, pts = scheme.F, scheme.m, scheme.points
+    units = [autsearch._square(autsearch._basis_vec(m * m, i), m) for i in range(m * m)]
+    determining, basis = [], units
+    for i, p in enumerate(pts):
+        smaller = reference_restrict(F, basis, [(p, p)])
+        if len(smaller) < len(basis):
+            determining.append(i)
+            basis = smaller
+    lifter = autsearch._Lifter(scheme)
+    assert (lifter.determining, lifter.dim) == (determining, len(basis))
+    perms = [permgroup.identity_perm(len(pts))]
+    perms += autsearch.comb_aut_group(scheme).perm_group.generators
+    for perm in perms:
+        for src in lifter.frob_points:
+            pairs = [(src[i], pts[perm[i]]) for i in determining]
+            rows = [row for u, y in pairs for row in autsearch._conditions(F, u, y)]
+            space = gfq.null_space(F, rows, m * m)
+            assert gfq.echelon(F, space) == flat_span(F, reference_restrict(F, units, pairs))
+
+
+CORPUS_NAMES = sorted(p.stem for p in CORPUS.glob("*.lg"))
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES + [n + "+ve" for n in CORPUS_NAMES])
+@pytest.mark.parametrize("q", [2, 4])
+def test_lift_spaces_match_reference(name, q):
+    assert_lift_spaces_match_reference(model(name, q))
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_lift_spaces_match_reference_on_random_graphs(g, q):
+    assert_lift_spaces_match_reference(small_scheme(g, q))
+
+
+def test_lift_space_beyond_the_bound_is_refused():
+    # p4 with a loose edge at an end and two vertexless edges: at q = 2 each
+    # vertexless edge has one point, so few conditions bind the identity's lifts
+    g = corpus_graph("p4")
+    g = LooseGraph(g.vertices, {**g.edges, "l": ("a", None), "v1": (None, None), "v2": (None, None)})
+    scheme = build_scheme(g, 2)
+    assert (scheme.m, len(scheme.points)) == (9, 13)
+    with pytest.raises(ValueError, match=r"dimension 21: 2097151 candidate .* bound 100000$"):
+        autsearch.proj_aut_group(scheme)
 
 
 def test_every_element_stabilizes():
@@ -169,6 +320,8 @@ def assert_proj_matches_frame_search(scheme):
     ("p4", 4),  # semilinear
     ("ve", 2),  # nontrivial kernel
     ("ve", 3),  # nontrivial kernel
+    ("p3+ve", 2),  # a punctured line beside other coordinates
+    ("p3+ve", 3),
 ])
 def test_proj_group_matches_frame_search(name, q):
     assert_proj_matches_frame_search(model(name, q))

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from loosegeo import cli
+from loosegeo import autsearch, cli
 from loosegeo.cli import main
 from conftest import CORPUS
 
@@ -125,7 +125,18 @@ def test_suite_on_mini_manifest(tmp_path, capsys):
 def test_points_rejects_extension_below_one(capsys, ext):
     code, out, err = run(capsys, "points", CORPUS / "toy.lg", "-q", 2, "--ext", ext)
     assert code == 2
-    assert out == "" and err.startswith("error:")
+    assert out == "" and err == f"error: extension degree must be at least 1, got {ext}\n"
+
+
+def test_aut_refuses_a_lift_space_beyond_the_bound(tmp_path, capsys):
+    graph = tmp_path / "p4ve.lg"
+    graph.write_text((CORPUS / "p4.lg").read_text() + "edge l a -\nedge v1 - -\nedge v2 - -\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "aut", graph, "-q", 2)
+    assert time.perf_counter() - start < 30
+    assert code == 2 and out == ""
+    assert err.startswith("error: the lifts of the identity form a space of dimension 21:")
+    assert err.endswith(f"more than the bound {autsearch.MAX_LIFT_CANDIDATES}\n")
 
 
 def test_central_product_reports_are_json(tmp_path, capsys):

@@ -20,6 +20,7 @@ from loosegeo.scheme import (
     interpolate_count_polynomial,
     secant_lines,
     subgraph_span_dim,
+    _hyperplanes_of,
     _off_star_points,
 )
 from conftest import CORPUS, corpus_graph
@@ -263,6 +264,33 @@ def test_count_in_subspace_rejects_degrees_below_one():
     for r in (0, -1):
         with pytest.raises(ValueError):
             scheme.count_in_subspace(rows, r)
+
+
+def test_point_count_rejects_degrees_below_one():
+    scheme = build_scheme(corpus_graph("toy"), 3)
+    assert scheme.point_count(1) == len(scheme.points)
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"^extension degree must be at least 1, got {r}$"):
+            scheme.point_count(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_hyperplanes_match_brute_force(q, k, extra, data):
+    """The hyperplanes of a subspace are the distinct spans of its (k - 1)-sets
+    of points of rank k - 1."""
+    F = gfq.get_field(q)
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.tuples(*[entry] * (k + extra)), min_size=k, max_size=k))
+    assume(gfq.mat_rank(F, rows) == k)
+    basis = gfq.echelon(F, rows)
+    brute = {
+        gfq.echelon(F, subset)
+        for subset in combinations(gfq.span_points(F, basis), k - 1)
+        if gfq.mat_rank(F, subset) == k - 1
+    }
+    assert _hyperplanes_of(F, basis) == sorted(brute)
+    assert len(brute) == gfq.pg_size(q, k)
 
 
 def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):

@@ -251,6 +251,19 @@ def test_suite_keeps_functoriality_under_entry_q_override():
         ("functoriality", 2), ("transroot", 2)]
 
 
+def test_suite_runs_functoriality_once_and_transroot_at_each_q():
+    entries = formats.parse_manifest("global functoriality,transroot q=2,3\n", base_dir=str(CORPUS))
+    result = theorems.run_suite(entries)
+    assert [(r.theorem, r.q) for r in result["reports"]] == [
+        ("functoriality", 2), ("transroot", 2), ("transroot", 3)]
+
+
+def test_suite_reads_once_from_checks(monkeypatch):
+    monkeypatch.setitem(theorems.CHECKS, "transroot", theorems.CHECKS["transroot"]._replace(once=True))
+    entries = formats.parse_manifest("global transroot q=2,3\n", base_dir=str(CORPUS))
+    assert [(r.theorem, r.q) for r in theorems.run_suite(entries)["reports"]] == [("transroot", 2)]
+
+
 @pytest.mark.parametrize("name,fixing,factors", [
     ("p4", 27, [9, 9]),
     ("spider", 486, [54, 9, 9]),
