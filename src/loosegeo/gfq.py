@@ -150,9 +150,6 @@ class FField:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             a, n = self.inv(a), -n
@@ -248,6 +245,26 @@ def echelon(F: FField, rows) -> tuple[tuple[int, ...], ...]:
         if r == len(work):
             break
     return tuple(tuple(row) for row in work[:r])
+
+
+def residues(F: FField, basis, vectors) -> list[tuple[int, ...]]:
+    """The vectors outside the span of a reduced echelon basis, in order, each
+    reduced against it in one pass over its pivots (so 0 at every pivot
+    column) and normalized to a first nonzero entry 1.  Two such vectors have
+    the same residue exactly when they span the same subspace with basis."""
+    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
+    pivots = [(row.index(1), row) for row in basis]
+    out = []
+    for v in vectors:
+        for pivot, row in pivots:
+            if v[pivot]:
+                minus = mul[neg[v[pivot]]]
+                v = [add[x][minus[y]] for x, y in zip(v, row)]
+        for lead in v:
+            if lead:
+                out.append(tuple(map(mul[inv[lead]].__getitem__, v)))
+                break
+    return out
 
 
 def mat_rank(F: FField, rows) -> int:

@@ -18,6 +18,7 @@ test below compares point polynomials.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -300,45 +301,45 @@ def enumerate_subspaces(scheme: SchemeModel):
     (subspace minus one of its hyperplanes) contained with incomplete closure.
 
     Returns (projective, affine) where projective maps dimension -> list of
-    echelon bases and affine is a list of AffinePatch.  Search grows spans of
-    rational points, pruned by rational counts, so it is exhaustive for the
-    constructible containments it reports.
+    echelon bases and affine is a list of AffinePatch.  Spans grow from the
+    rational points one dimension at a time, and a span of projective
+    dimension d is kept only if it holds at least q^d rational points, as
+    every contained subspace and affine patch does.  That count is exact
+    before any elimination: the points outside a kept span B, grouped by
+    their residue against B's echelon basis, are what B's one-larger spans
+    add.  Only a span that passes gets its echelon basis, point polynomial
+    and hyperplane tests.
     """
     dmax = min(
         max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
         MAX_SUBSPACE_DIM,
     )
-    q = scheme.q
+    q, F = scheme.q, scheme.F
     projective: dict[int, list] = {d: [] for d in range(1, dmax + 1)}
     affine: list[AffinePatch] = []
 
-    # candidate subspaces of vector dimension k, grown from rational point spans
-    level = secant_lines(scheme)
-    for k in range(2, dmax + 2):
-        survivors = set()
+    # kept spans of projective dimension d - 1, echelon basis -> rational count
+    kept = {(p,): 1 for p in scheme.points}
+    for d in range(1, dmax + 1):
+        level = {}
+        for basis, count in kept.items():
+            for residue, size in Counter(gfq.residues(F, basis, scheme.points)).items():
+                if count + size >= q**d:
+                    level.setdefault(gfq.echelon(F, basis + (residue,)), count + size)
+        kept = {}
         for basis in sorted(level):
+            kept[basis] = count = level[basis]
+            found = scheme.count_in_subspace(basis, 1)
+            if found != count:
+                raise AssertionError(f"span {basis}: grouped count {count}, "
+                                     f"point polynomial count {found}")
             poly = scheme.point_polynomial(basis)
-            d = k - 1  # projective dimension
-            fully = poly == (1,) * k
-            if fully:
+            if poly == (1,) * (d + 1):
                 projective[d].append(basis)
-            if scheme.count_in_subspace(basis, 1) < q**d:
                 continue
-            survivors.add(basis)
-            if not fully:
-                for hyp in _hyperplanes_of(scheme.F, basis):
-                    if poly == add_monomial(scheme.point_polynomial(hyp), d):
-                        affine.append(AffinePatch(basis, hyp, d))
-        if k == dmax + 1:
-            break
-        level = set()
-        for basis in survivors:
-            for p in scheme.points:
-                grown = gfq.echelon(scheme.F, basis + (p,))
-                if len(grown) > k:
-                    level.add(grown)
-    for d in projective:
-        projective[d].sort()
+            for hyp in _hyperplanes_of(F, basis):
+                if poly == add_monomial(scheme.point_polynomial(hyp), d):
+                    affine.append(AffinePatch(basis, hyp, d))
     affine.sort(key=lambda a: (a.dim, a.basis))
     return projective, affine
 

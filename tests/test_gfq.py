@@ -112,6 +112,30 @@ def test_subset_ranks_match_span_sizes(q, length, data):
         assert len(spanned) == q**rank
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(1, 4), st.data())
+def test_residues_match_brute_force(q, length, data):
+    """A vector outside the span is replaced by the one vector of its coset
+    that is 0 at every pivot column, normalized; a vector inside is dropped."""
+    F = gfq.get_field(q)
+    entry = st.integers(0, q - 1)
+    basis = gfq.echelon(F, data.draw(st.lists(st.tuples(*[entry] * length), max_size=3)))
+    vectors = data.draw(st.lists(st.tuples(*[entry] * length), max_size=5))
+    pivots = [row.index(1) for row in basis]
+    expected = []
+    for v in vectors:
+        coset = set()
+        for coeffs in product(range(q), repeat=len(basis)):
+            w = v
+            for c, row in zip(coeffs, basis):
+                w = gfq.vec_add(F, w, gfq.vec_scale(F, c, row))
+            coset.add(w)
+        if (0,) * length not in coset:
+            (reduced,) = [w for w in coset if not any(w[p] for p in pivots)]
+            expected.append(gfq.normalize_point(F, reduced))
+    assert gfq.residues(F, basis, vectors) == expected
+
 def brute_span_points(F, vectors):
     """Every nonzero coefficient tuple's combination, normalized and
     deduplicated."""
