@@ -18,7 +18,6 @@ test below compares point polynomials.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -232,38 +231,47 @@ class GeometryLine:
     missing: tuple[int, ...] | None  # the unique rational gap of an affine line
 
 
-def classify_line(scheme: SchemeModel, basis) -> GeometryLine | None:
-    """Classify the line with the given echelon basis, or None.
-
-    projective: every point over every F_{q^r} belongs to the scheme, point
-    polynomial 1 + x.  affine ("complete affine"): point polynomial x, so
-    one of the q + 1 rational points is missing, at every extension degree.
-    """
-    poly = scheme.point_polynomial(basis)
-    if poly not in ((1, 1), (0, 1)):
-        return None
-    rat = gfq.span_points(scheme.F, basis)
-    inside = tuple(p for p in rat if p in scheme.point_index)
-    if poly == (1, 1):
-        return GeometryLine("projective", inside, basis, None)
-    gap = next(p for p in rat if p not in scheme.point_index)
-    return GeometryLine("affine", inside, basis, gap)
-
-
-def secant_lines(scheme: SchemeModel) -> list[tuple[tuple[int, ...], ...]]:
-    """The lines through two rational points of the point set, as sorted
-    distinct echelon bases."""
-    return sorted({gfq.echelon(scheme.F, pair) for pair in combinations(scheme.points, 2)})
+def secant_lines(scheme: SchemeModel) -> list[tuple]:
+    """Each line through two rational points of the point set once, as
+    (p, residue, ids): its first point p, the normalized residue of its
+    other points against p, and the sorted indices in `scheme.points` of all
+    its points in the set.  Each point groups the points after it by that
+    residue, leaving out those on a line taken from an earlier point."""
+    F, pts = scheme.F, scheme.points
+    taken = [set() for _ in pts]  # i -> later points on a line taken with i
+    lines = []
+    for i, p in enumerate(pts):
+        later = [j for j in range(i + 1, len(pts)) if j not in taken[i]]
+        groups: dict = {}
+        for j, residue in zip(later, gfq.residues(F, (p,), [pts[j] for j in later])):
+            groups.setdefault(residue, [i]).append(j)
+        for residue, ids in groups.items():
+            for k in range(1, len(ids) - 1):
+                taken[ids[k]].update(ids[k + 1:])
+            lines.append((p, residue, tuple(ids)))
+    return lines
 
 
 def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
-    """All projective and complete-affine lines of the point set.
-
-    Any such line carries at least two rational points, so the secant lines
-    are exhaustive.
-    """
-    lines = [classify_line(scheme, basis) for basis in secant_lines(scheme)]
-    return sorted((l for l in lines if l is not None), key=lambda l: (l.kind, l.points))
+    """All projective and complete-affine lines of the point set: point
+    polynomial 1 + x (every point over every F_{q^r} is in the set) or x
+    (one of the q + 1 points is missing at every extension degree).  Either
+    holds at least q rational points, so only the secant lines with that
+    many get an echelon basis and a point polynomial."""
+    F, pts = scheme.F, scheme.points
+    lines = []
+    for p, residue, ids in secant_lines(scheme):
+        if len(ids) < scheme.q:
+            continue
+        basis = gfq.echelon(F, (p, residue))
+        poly = scheme.point_polynomial(basis)
+        inside = tuple(pts[i] for i in ids)
+        if poly == (1, 1):
+            lines.append(GeometryLine("projective", inside, basis, None))
+        elif poly == (0, 1):
+            gap = next(x for x in gfq.span_points(F, basis) if x not in scheme.point_index)
+            lines.append(GeometryLine("affine", inside, basis, gap))
+    return sorted(lines, key=lambda l: (l.kind, l.points))
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +310,40 @@ def enumerate_subspaces(scheme: SchemeModel):
 
     Returns (projective, affine) where projective maps dimension -> list of
     echelon bases and affine is a list of AffinePatch.  Spans grow from the
-    rational points one dimension at a time, and a span of projective
-    dimension d is kept only if it holds at least q^d rational points, as
-    every contained subspace and affine patch does.  That count is exact
-    before any elimination: the points outside a kept span B, grouped by
-    their residue against B's echelon basis, are what B's one-larger spans
-    add.  Only a span that passes gets its echelon basis, point polynomial
-    and hyperplane tests.
+    secant lines one dimension at a time, and a span of projective dimension
+    d is kept only if it holds at least q^d rational points, as every
+    contained subspace and affine patch does.  That count is exact before
+    any elimination: the points outside a kept span B, grouped by their
+    residue against B's echelon basis, are what B's one-larger spans add.
+    Such a span is spanned by its points (a hyperplane of it holds fewer),
+    so they name it, and it is eliminated and tested once.
     """
     dmax = min(
         max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
         MAX_SUBSPACE_DIM,
     )
-    q, F = scheme.q, scheme.F
+    q, F, pts = scheme.q, scheme.F, scheme.points
     projective: dict[int, list] = {d: [] for d in range(1, dmax + 1)}
     affine: list[AffinePatch] = []
 
-    # kept spans of projective dimension d - 1, echelon basis -> rational count
-    kept = {(p,): 1 for p in scheme.points}
+    # spans of projective dimension d that pass, point ids -> spanning rows
+    level = {frozenset(ids): (p, r) for p, r, ids in secant_lines(scheme) if len(ids) >= q}
     for d in range(1, dmax + 1):
+        kept = sorted((gfq.echelon(F, rows), ids) for ids, rows in level.items())
         level = {}
-        for basis, count in kept.items():
-            for residue, size in Counter(gfq.residues(F, basis, scheme.points)).items():
-                if count + size >= q**d:
-                    level.setdefault(gfq.echelon(F, basis + (residue,)), count + size)
-        kept = {}
-        for basis in sorted(level):
-            kept[basis] = count = level[basis]
+        for basis, ids in kept:
             found = scheme.count_in_subspace(basis, 1)
-            if found != count:
-                raise AssertionError(f"span {basis}: grouped count {count}, "
+            if found != len(ids):
+                raise AssertionError(f"span {basis}: grouped count {len(ids)}, "
                                      f"point polynomial count {found}")
+            if d < dmax:
+                outside = [i for i in range(len(pts)) if i not in ids]
+                groups: dict = {}
+                for i, residue in zip(outside, gfq.residues(F, basis, [pts[i] for i in outside])):
+                    groups.setdefault(residue, []).append(i)
+                for residue, group in groups.items():
+                    if len(ids) + len(group) >= q ** (d + 1):
+                        level.setdefault(ids.union(group), basis + (residue,))
             poly = scheme.point_polynomial(basis)
             if poly == (1,) * (d + 1):
                 projective[d].append(basis)

@@ -569,7 +569,8 @@ def _check_rules(ctx: Context, options) -> Found:
     """Construction invariants of the point-set model: local patch sizes and
     dimensions, clique spans, vertexless-edge counts, monotonicity under a
     graph extension, and stability of line classification under one more
-    field extension."""
+    field extension.  A secant line with fewer than q rational points fails
+    both targets, q + 1 and q points, at r = 1, so it is not tested."""
     graph, q, scheme = ctx.graph, ctx.q, ctx.scheme
     failures = []
     # local dimension: each vertex patch has q^deg(v) rational points
@@ -619,7 +620,10 @@ def _check_rules(ctx: Context, options) -> Found:
     # changes when degree m+1 is also required
     m = scheme.m
     lines = secant_lines(scheme)
-    for basis in lines:
+    for p, residue, ids in lines:
+        if len(ids) < q:
+            continue
+        basis = gfq.echelon(scheme.F, (p, residue))
         prof = tuple(scheme.count_in_subspace(basis, r) for r in range(1, m + 2))
         for want in ("full", "almost"):
             target = (lambda r: q ** r + 1) if want == "full" else (lambda r: q ** r)

@@ -11,6 +11,7 @@ from loosegeo.scheme import (
     MAX_AMBIENT,
     MAX_SUBSPACE_DIM,
     AffinePatch,
+    GeometryLine,
     SchemeModel,
     add_monomial,
     build_scheme,
@@ -26,6 +27,7 @@ from loosegeo.scheme import (
     _hyperplanes_of,
     _off_star_points,
 )
+from loosegeo.theorems import check_rules
 from conftest import CORPUS, corpus_graph
 from test_autsearch import small_scheme
 from test_formats import loose_graphs
@@ -362,6 +364,85 @@ def test_enumerate_subspaces_gamma1():
     assert dims == [1] * 8 + [2] * 4
 
 
+def reference_secant_lines(scheme):
+    """The lines through two rational points by the earlier pair scan: one
+    elimination per pair of points, as sorted distinct echelon bases."""
+    return sorted({gfq.echelon(scheme.F, pair) for pair in combinations(scheme.points, 2)})
+
+
+def reference_classify_line(scheme, basis):
+    """The earlier classification of the line with the given echelon basis,
+    or None: its point polynomial, and its rational points listed."""
+    poly = scheme.point_polynomial(basis)
+    if poly not in ((1, 1), (0, 1)):
+        return None
+    rat = gfq.span_points(scheme.F, basis)
+    inside = tuple(p for p in rat if p in scheme.point_index)
+    if poly == (1, 1):
+        return GeometryLine("projective", inside, basis, None)
+    gap = next(p for p in rat if p not in scheme.point_index)
+    return GeometryLine("affine", inside, basis, gap)
+
+
+def reference_classify_lines(scheme):
+    """Every line of the pair scan, classified."""
+    lines = [reference_classify_line(scheme, basis) for basis in reference_secant_lines(scheme)]
+    return sorted((l for l in lines if l is not None), key=lambda l: (l.kind, l.points))
+
+
+def assert_lines_match_reference(graph, q):
+    """The scan's lines, their classification and the rules check's count
+    of secant lines agree with the pair scan's, on separate schemes so
+    that neither reads the other's cache."""
+    scheme = build_scheme(graph, q)
+    assert_secant_lines_are_pair_spans(scheme)
+    assert classify_lines(scheme) == reference_classify_lines(build_scheme(graph, q))
+    rules = check_rules(graph, q)
+    assert rules.verdict == "pass", rules.witnesses
+    assert rules.quantities["secant_lines"] == len(reference_secant_lines(scheme))
+
+
+@pytest.mark.parametrize("name,q", list(product(sorted(p.stem for p in CORPUS.glob("*.lg")), [2, 3, 4])))
+def test_lines_match_reference(name, q):
+    assert_lines_match_reference(corpus_graph(name), q)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_lines_match_reference_on_random_graphs(g, q):
+    assume(1 <= len(g.completion()) <= 6)
+    assume(len(build_scheme(g, q).points) <= 100)
+    assert_lines_match_reference(g, q)
+
+
+def count_calls(monkeypatch, names):
+    """Wrap the named `gfq` functions; the returned dict counts their calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(gfq, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(gfq, name, counted(name))
+    return calls
+
+
+def test_line_classification_effort_on_fundament(monkeypatch):
+    """Only secant lines with at least q rational points get an echelon
+    basis and a point polynomial: on fundament@3 the pair scan took 2,455
+    `echelon` and 915 `subset_ranks` calls for 233 such lines."""
+    scheme = build_scheme(corpus_graph("fundament"), 3)
+    calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
+    assert len(classify_lines(scheme)) == 233
+    assert calls["echelon"] <= 500 and calls["subset_ranks"] <= 240, calls
+
+
 def reference_enumerate_subspaces(scheme):
     """The level growth that `enumerate_subspaces` replaced: every secant
     line first, then one elimination per (kept span, point) pair, each
@@ -373,7 +454,7 @@ def reference_enumerate_subspaces(scheme):
     q = scheme.q
     projective = {d: [] for d in range(1, dmax + 1)}
     affine = []
-    level = secant_lines(scheme)
+    level = reference_secant_lines(scheme)
     for k in range(2, dmax + 2):
         survivors = set()
         for basis in sorted(level):
@@ -431,12 +512,14 @@ def test_subspaces_match_reference_on_random_graphs(g, q):
 
 def test_grouped_count_mismatch_is_raised(monkeypatch):
     """A span's count from the grouping is checked against its point
-    polynomial: one point too many in a group raises."""
+    polynomial: one point too many in a group raises.  The last vector is
+    given the first one's residue, as each residue is matched to its
+    vector by position."""
     residues = gfq.residues
 
     def one_too_many(F, basis, vectors):
         out = residues(F, basis, vectors)
-        return out + out[:1]
+        return out[:-1] + out[:1]
 
     monkeypatch.setattr(gfq, "residues", one_too_many)
     with pytest.raises(AssertionError, match=r"^span \(\(.*\)\): grouped count \d+, point polynomial count \d+$"):
@@ -448,19 +531,7 @@ def test_subspace_search_effort_on_spider(monkeypatch):
     count prune: on spider@3 the level growth took 12,553 `echelon` and
     2,706 `subset_ranks` calls."""
     scheme = build_scheme(corpus_graph("spider"), 3)
-    calls = {"echelon": 0, "subset_ranks": 0}
-
-    def counted(name):
-        real = getattr(gfq, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(gfq, name, counted(name))
+    calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
     projective, affine = enumerate_subspaces(scheme)
     assert (len(projective[1]), len(affine)) == (37, 144)
     assert calls["echelon"] <= 3000 and calls["subset_ranks"] <= 300, calls
@@ -555,17 +626,25 @@ def assert_strata_match_scans(scheme):
 
 
 def assert_secant_lines_are_pair_spans(scheme):
-    F = scheme.F
+    """Each line of the pair scan comes once from the grouped scan, with its
+    first point in X, the normalized residue of its other points against
+    that point, and all of its points in X."""
+    F, pts = scheme.F, scheme.points
+    reference = reference_secant_lines(scheme)
     lines = secant_lines(scheme)
-    assert lines == sorted(set(lines))
-    assert all(len(basis) == 2 and gfq.echelon(F, basis) == basis for basis in lines)
-    assert set(lines) == {gfq.echelon(F, pair) for pair in combinations(scheme.points, 2)}
+    assert len(lines) == len(reference)
+    on_lines = set()
+    for p, residue, ids in lines:
+        assert list(ids) == sorted(set(ids)) and len(ids) >= 2 and pts[ids[0]] == p
+        assert residue == gfq.normalize_point(F, residue) and residue[p.index(1)] == 0
+        basis = gfq.echelon(F, (p, residue))
+        assert all(gfq.echelon(F, (p, pts[j])) == basis for j in ids[1:])
+        on_lines.add(frozenset(pts[i] for i in ids))
     # distinct lines share at most one point, so X's points tell them apart
-    on_lines = {
-        frozenset(p for p in line_points(F, a, b) if p in scheme.point_index)
-        for a, b in combinations(scheme.points, 2)
+    assert on_lines == {
+        frozenset(p for p in line_points(F, *basis) if p in scheme.point_index)
+        for basis in reference
     }
-    assert len(on_lines) == len(lines)
 
 
 @pytest.mark.parametrize("name,q", list(product(sorted(p.stem for p in CORPUS.glob("*.lg")), [2, 3])))

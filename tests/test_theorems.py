@@ -230,6 +230,27 @@ def test_rules_catch_a_broken_point_set(monkeypatch):
     assert rep.verdict == "fail"
 
 
+def test_rules_catch_an_unstable_line(monkeypatch):
+    # a full line whose count over F_{q^(m+1)} is off changes its
+    # classification at degree m + 1, which the stability test reports
+    from loosegeo import scheme as scheme_mod
+
+    graph, q = corpus_graph("toy"), 3
+    full = [line for line in scheme_mod.classify_lines(scheme_mod.build_scheme(graph, q))
+            if len(line.points) == q + 1]
+    basis = full[0].basis
+    original = scheme_mod.SchemeModel.count_in_subspace
+
+    def off_at_m_plus_1(self, rows, r):
+        count = original(self, rows, r)
+        return count + 1 if r == self.m + 1 and tuple(rows) == basis else count
+
+    monkeypatch.setattr(scheme_mod.SchemeModel, "count_in_subspace", off_at_m_plus_1)
+    rep = theorems.check_rules(graph, q, "toy")
+    assert rep.verdict == "fail"
+    assert [w[:3] for w in rep.witnesses] == [("stability", "full", basis)]
+
+
 def test_run_suite_with_manifest_subset(tmp_path):
     manifest = tmp_path / "mini.txt"
     manifest.write_text(
