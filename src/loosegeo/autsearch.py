@@ -89,17 +89,19 @@ def _basis_vec(m: int, i: int) -> tuple[int, ...]:
 
 def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
     """Whether the image of one locally closed piece under M lies in X over
-    every extension, checked with exact point polynomials of the columns of
-    M on the piece's support."""
+    every extension, checked with exact point polynomials of the spans of
+    the columns of M on the piece's support, each taken as its echelon basis
+    so that equal spans share one cache entry."""
+    F = scheme.F
     cols = {i: col for i, col in enumerate(zip(*M)) if piece.support_mask >> i & 1}
+    full = scheme.point_polynomial(gfq.echelon(F, cols.values()))
     if piece.kind == "gm":
-        hit = [gfq.normalize_point(scheme.F, c) in scheme.point_index for c in cols.values()]
-        return scheme.point_polynomial(tuple(cols.values())) == (sum(hit) - 1, 1)
-    full = scheme.point_polynomial(tuple(cols.values()))
+        hit = [gfq.normalize_point(F, c) in scheme.point_index for c in cols.values()]
+        return full == (sum(hit) - 1, 1)
     if len(cols) == 1:
         return full == (1,)
-    hyp = scheme.point_polynomial(tuple(col for i, col in cols.items() if i != piece.required_bit))
-    return full == add_monomial(hyp, len(cols) - 1)
+    hyp = gfq.echelon(F, (col for i, col in cols.items() if i != piece.required_bit))
+    return full == add_monomial(scheme.point_polynomial(hyp), len(cols) - 1)
 
 
 def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
@@ -167,7 +169,7 @@ class _Lifter:
         for i, p in enumerate(scheme.points):
             if len(rows) == m * m - 1:
                 break
-            grown = gfq.echelon(F, rows + _conditions(F, p, p))
+            grown = gfq.echelon(F, _conditions(F, p, p), rows)
             if len(grown) > len(rows):
                 self.determining.append(i)
                 rows = grown

@@ -16,7 +16,6 @@ from .scheme import (
     build_scheme,
     classify_lines,
     count_points,
-    decompose,
     interpolate_count_polynomial,
 )
 

@@ -220,31 +220,43 @@ def _dot(F: FField, u, v) -> int:
     return acc
 
 
-def echelon(F: FField, rows) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon basis of the row space (canonical, zero rows dropped)."""
+def _reduce(F: FField, pivots, v):
+    """v less the multiples of the rows that clear it at their pivots, for
+    (pivot, row) pairs with each row 1 at its pivot and 0 at the pivots
+    before it: the one row operation of this module."""
     add, mul, neg = F._add, F._mul, F._neg
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        scale = mul[F.inv(work[r][c])]
-        work[r] = [scale[x] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                minus = mul[neg[work[i][c]]]
-                work[i] = [add[x][minus[y]] for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r])
+    for pivot, row in pivots:
+        if v[pivot]:
+            minus = mul[neg[v[pivot]]]
+            v = [add[x][minus[y]] for x, y in zip(v, row)]
+    return v
+
+
+def _leading_one(F: FField, v):
+    """(pivot, v scaled to 1 at its first nonzero entry pivot), as a tuple,
+    or None for the zero vector."""
+    for pivot, c in enumerate(v):
+        if c:
+            if c == 1:
+                return pivot, tuple(v)
+            return pivot, tuple(map(F._mul[F._inv[c]].__getitem__, v))
+    return None
+
+
+def echelon(F: FField, rows, basis=()) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon basis of the span of basis and rows (canonical,
+    zero rows dropped).  basis must already be such a basis; it is extended
+    by each row in turn, reduced to a new pivot row that is then cleared
+    from the rows before it, and is not eliminated again."""
+    pivots = [(row.index(1), row) for row in basis]
+    for v in rows:
+        lead = _leading_one(F, _reduce(F, pivots, v))
+        if lead is not None:
+            for j, (pivot, row) in enumerate(pivots):
+                if row[lead[0]]:
+                    pivots[j] = pivot, tuple(_reduce(F, (lead,), row))
+            pivots.append(lead)
+    return tuple(row for _, row in sorted(pivots))
 
 
 def residues(F: FField, basis, vectors) -> list[tuple[int, ...]]:
@@ -252,18 +264,12 @@ def residues(F: FField, basis, vectors) -> list[tuple[int, ...]]:
     reduced against it in one pass over its pivots (so 0 at every pivot
     column) and normalized to a first nonzero entry 1.  Two such vectors have
     the same residue exactly when they span the same subspace with basis."""
-    add, mul, neg, inv = F._add, F._mul, F._neg, F._inv
     pivots = [(row.index(1), row) for row in basis]
     out = []
     for v in vectors:
-        for pivot, row in pivots:
-            if v[pivot]:
-                minus = mul[neg[v[pivot]]]
-                v = [add[x][minus[y]] for x, y in zip(v, row)]
-        for lead in v:
-            if lead:
-                out.append(tuple(map(mul[inv[lead]].__getitem__, v)))
-                break
+        lead = _leading_one(F, _reduce(F, pivots, v))
+        if lead is not None:
+            out.append(lead[1])
     return out
 
 
@@ -276,22 +282,12 @@ def subset_ranks(F: FField, vectors) -> list[int]:
     semi-echelon basis (pivots with entry 1, each vector 0 at the pivots
     before it) is that of the subset without its lowest vector, plus that
     vector reduced against it unless it reduces to zero."""
-    add, mul, neg = F._add, F._mul, F._neg
     bases: list[tuple] = [()]
     for s in range(1, 1 << len(vectors)):
         rest = s & (s - 1)
         basis = bases[rest]
-        v = vectors[(s ^ rest).bit_length() - 1]
-        for pivot, b in basis:
-            if v[pivot]:
-                minus = mul[neg[v[pivot]]]
-                v = [add[x][minus[y]] for x, y in zip(v, b)]
-        for pivot, c in enumerate(v):
-            if c:
-                scale = mul[F.inv(c)]
-                basis += ((pivot, [scale[x] for x in v]),)
-                break
-        bases.append(basis)
+        lead = _leading_one(F, _reduce(F, basis, vectors[(s ^ rest).bit_length() - 1]))
+        bases.append(basis if lead is None else basis + (lead,))
     return [len(basis) for basis in bases]
 
 
@@ -301,7 +297,7 @@ def null_space(F: FField, rows, n_cols: int) -> list[tuple[int, ...]]:
     column f, with x_f = 1 and each pivot unknown set to minus its row's
     entry in column f."""
     reduced = echelon(F, rows)
-    pivots = [next(c for c, v in enumerate(row) if v) for row in reduced]
+    pivots = [row.index(1) for row in reduced]
     basis = []
     for f in sorted(set(range(n_cols)) - set(pivots)):
         x = [0] * n_cols
@@ -319,12 +315,10 @@ def null_space(F: FField, rows, n_cols: int) -> list[tuple[int, ...]]:
 
 def normalize_point(F: FField, v: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative of a projective point: first nonzero entry 1."""
-    for c in v:
-        if c != 0:
-            if c == 1:
-                return tuple(v)
-            return vec_scale(F, F.inv(c), v)
-    raise ValueError("zero vector has no projective normalization")
+    lead = _leading_one(F, v)
+    if lead is None:
+        raise ValueError("zero vector has no projective normalization")
+    return lead[1]
 
 
 def projective_points(F: FField, m: int):

@@ -71,10 +71,6 @@ def compose_check(g: LooseMorphism, f: LooseMorphism) -> bool:
     return lhs == rhs
 
 
-def matrix_rank_f2(mat) -> int:
-    return gfq.mat_rank(gfq.get_field(2), mat)
-
-
 @dataclass(frozen=True)
 class InjectivityReport:
     rank: int
@@ -89,7 +85,7 @@ def injectivity_criterion(morphism: LooseMorphism) -> InjectivityReport:
     mat = global_matrix(morphism)
     m1 = len(mat[0])
     m2 = len(mat)
-    rank = matrix_rank_f2(mat)
+    rank = gfq.mat_rank(gfq.get_field(2), mat)
     return InjectivityReport(rank, m1, m2, m2 >= m1 and rank == m1)
 
 

@@ -93,40 +93,31 @@ class SchemeModel:
 
     # -- counting over extensions -------------------------------------------
 
-    def _lookup(self, cache: dict, rows):
-        """The canonical echelon basis of the span of rows and its entry in
-        cache, or None.  Caches are keyed by canonical bases, so rows found
-        there as given are that basis and need no elimination."""
-        if isinstance(rows, tuple):
-            try:
-                hit = cache.get(rows)
-            except TypeError:  # rows holds unhashable vectors
-                hit = None
-            if hit is not None:
-                return rows, hit
-        key = gfq.echelon(self.F, rows) if rows else ()
-        return key, cache.get(key)
-
     def point_polynomial(self, rows) -> tuple[int, ...]:
         """Coefficients, lowest degree first and without trailing zeros, of
         the polynomial in x = q^r counting the points over F_{q^r} of the
         span of rows in X.  It is the count of the span's vectors with a good
         support, sum_S c_S x^(k - rank(union - S)) over the subsets S of the
         support union (k the dimension, ranks taken over basis columns),
-        divided exactly by x - 1."""
-        key, poly = self._lookup(self._poly_cache, rows)
+        divided exactly by x - 1.  Any independent rows serve as that basis;
+        rows of a lower rank than their number are eliminated first."""
+        key = tuple(map(tuple, rows))
+        poly = self._poly_cache.get(key)
         if poly is None:
             cols = list(zip(*key))
-            union = sum(1 << i for i, col in enumerate(cols) if any(col))
             ranks = gfq.subset_ranks(self.F, [col for col in cols if any(col)])
             k = len(key)
-            count = [0] * (k + 1)
-            for s, c in enumerate(self._support_coefficients(union)):
-                count[k - ranks[-1 - s]] += c  # index -1 - s is union - S
-            if sum(count):  # the remainder of the division by x - 1
-                raise AssertionError(f"vector count {count} is not divisible by x - 1")
-            quotient = [sum(count[d:]) for d in range(1, k + 1)]
-            poly = self._poly_cache[key] = _trim(quotient)
+            if ranks[-1] < k:
+                poly = self.point_polynomial(gfq.echelon(self.F, key))
+            else:
+                union = sum(1 << i for i, col in enumerate(cols) if any(col))
+                count = [0] * (k + 1)
+                for s, c in enumerate(self._support_coefficients(union)):
+                    count[k - ranks[-1 - s]] += c  # index -1 - s is union - S
+                if sum(count):  # the remainder of the division by x - 1
+                    raise AssertionError(f"vector count {count} is not divisible by x - 1")
+                poly = _trim([sum(count[d:]) for d in range(1, k + 1)])
+            self._poly_cache[key] = poly
         return poly
 
     def _support_coefficients(self, union: int) -> list[int]:
@@ -252,18 +243,22 @@ def secant_lines(scheme: SchemeModel) -> list[tuple]:
     return lines
 
 
+def rich_lines(scheme: SchemeModel, lines) -> list[tuple]:
+    """The secant lines with at least q rational points, as (basis, ids):
+    the line's echelon basis, the point p extended by its residue, and its
+    point ids.  Every projective or complete-affine line, and every span
+    that holds one, has that many."""
+    F, q = scheme.F, scheme.q
+    return [(gfq.echelon(F, (residue,), (p,)), ids) for p, residue, ids in lines if len(ids) >= q]
+
+
 def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
     """All projective and complete-affine lines of the point set: point
     polynomial 1 + x (every point over every F_{q^r} is in the set) or x
-    (one of the q + 1 points is missing at every extension degree).  Either
-    holds at least q rational points, so only the secant lines with that
-    many get an echelon basis and a point polynomial."""
+    (one of the q + 1 points is missing at every extension degree)."""
     F, pts = scheme.F, scheme.points
     lines = []
-    for p, residue, ids in secant_lines(scheme):
-        if len(ids) < scheme.q:
-            continue
-        basis = gfq.echelon(F, (p, residue))
+    for basis, ids in rich_lines(scheme, secant_lines(scheme)):
         poly = scheme.point_polynomial(basis)
         inside = tuple(pts[i] for i in ids)
         if poly == (1, 1):
@@ -289,18 +284,17 @@ class AffinePatch:
 
 
 def _hyperplanes_of(F: gfq.FField, basis):
-    """All hyperplanes of the subspace spanned by basis, as sorted echelon
-    bases: the kernel of each functional c on internal coordinates, with
-    c_p = 1 at its first nonzero p, is spanned by basis[i] - c_i basis[p]
-    for i != p."""
+    """All hyperplanes of the subspace spanned by a reduced echelon basis, as
+    sorted such bases: the kernel of each functional c on internal
+    coordinates, with c_p = 1 at its last nonzero p, is spanned by
+    basis[i] - c_i basis[p] for i < p and basis[i] for i > p.  These rows
+    differ from basis only in the pivot column of basis[p], which is none of
+    theirs, so they are already reduced."""
     out = []
-    for c in gfq.projective_points(F, len(basis)):
-        p = c.index(1)
-        spanning = [
-            gfq.vec_add(F, basis[i], gfq.vec_scale(F, F.neg(c[i]), basis[p]))
-            for i in range(len(basis)) if i != p
-        ]
-        out.append(gfq.echelon(F, spanning))
+    for p, row in enumerate(basis):
+        for c in product(F.elements(), repeat=p):
+            head = (gfq.vec_add(F, basis[i], gfq.vec_scale(F, F.neg(c[i]), row)) for i in range(p))
+            out.append((*head, *basis[p + 1:]))
     return sorted(out)
 
 
@@ -316,7 +310,8 @@ def enumerate_subspaces(scheme: SchemeModel):
     any elimination: the points outside a kept span B, grouped by their
     residue against B's echelon basis, are what B's one-larger spans add.
     Such a span is spanned by its points (a hyperplane of it holds fewer),
-    so they name it, and it is eliminated and tested once.
+    so they name it; it is tested once, and its echelon basis is B's
+    extended by the residue.
     """
     dmax = min(
         max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
@@ -326,10 +321,10 @@ def enumerate_subspaces(scheme: SchemeModel):
     projective: dict[int, list] = {d: [] for d in range(1, dmax + 1)}
     affine: list[AffinePatch] = []
 
-    # spans of projective dimension d that pass, point ids -> spanning rows
-    level = {frozenset(ids): (p, r) for p, r, ids in secant_lines(scheme) if len(ids) >= q}
+    # spans of projective dimension d that pass, point ids -> echelon basis
+    level = {frozenset(ids): basis for basis, ids in rich_lines(scheme, secant_lines(scheme))}
     for d in range(1, dmax + 1):
-        kept = sorted((gfq.echelon(F, rows), ids) for ids, rows in level.items())
+        kept = sorted((basis, ids) for ids, basis in level.items())
         level = {}
         for basis, ids in kept:
             found = scheme.count_in_subspace(basis, 1)
@@ -343,7 +338,9 @@ def enumerate_subspaces(scheme: SchemeModel):
                     groups.setdefault(residue, []).append(i)
                 for residue, group in groups.items():
                     if len(ids) + len(group) >= q ** (d + 1):
-                        level.setdefault(ids.union(group), basis + (residue,))
+                        grown = ids.union(group)
+                        if grown not in level:
+                            level[grown] = gfq.echelon(F, (residue,), basis)
             poly = scheme.point_polynomial(basis)
             if poly == (1,) * (d + 1):
                 projective[d].append(basis)
@@ -456,7 +453,12 @@ def complement_points(scheme: SchemeModel) -> list[tuple[int, ...]]:
 
 def decompose(scheme: SchemeModel) -> dict:
     """Split the ambient PG(m-1, q) into scheme points, complement points and
-    the rest.  The first two must be disjoint."""
+    the rest.  The first two must be disjoint.  The ambient space is listed,
+    so one of more than MAX_POINTS points is refused."""
+    size = gfq.pg_size(scheme.q, scheme.m)
+    if size > MAX_POINTS:
+        raise ValueError(f"PG({scheme.m - 1}, {scheme.q}) has {size} points, "
+                         f"more than the bound {MAX_POINTS} for a decomposition")
     x = set(scheme.points)
     xc = set(complement_points(scheme))
     ambient = gfq.projective_points(scheme.F, scheme.m)

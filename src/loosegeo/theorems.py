@@ -29,6 +29,7 @@ from .scheme import (
     convexity_check,
     decompose,
     enumerate_subspaces,
+    rich_lines,
     secant_lines,
     subgraph_span_dim,
 )
@@ -620,10 +621,7 @@ def _check_rules(ctx: Context, options) -> Found:
     # changes when degree m+1 is also required
     m = scheme.m
     lines = secant_lines(scheme)
-    for p, residue, ids in lines:
-        if len(ids) < q:
-            continue
-        basis = gfq.echelon(scheme.F, (p, residue))
+    for basis, _ in rich_lines(scheme, lines):
         prof = tuple(scheme.count_in_subspace(basis, r) for r in range(1, m + 2))
         for want in ("full", "almost"):
             target = (lambda r: q ** r + 1) if want == "full" else (lambda r: q ** r)

@@ -9,6 +9,7 @@ import pytest
 
 from loosegeo import autsearch, cli
 from loosegeo.cli import main
+from loosegeo.scheme import MAX_POINTS
 from conftest import CORPUS
 
 
@@ -137,6 +138,20 @@ def test_aut_refuses_a_lift_space_beyond_the_bound(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: the lifts of the identity form a space of dimension 21:")
     assert err.endswith(f"more than the bound {autsearch.MAX_LIFT_CANDIDATES}\n")
+
+
+def test_decompose_refuses_an_ambient_space_beyond_the_bound(tmp_path, capsys):
+    """Six vertexless edges have only 6(q - 1) points, but PG(11, 4) has
+    5,592,405: the decomposition, which lists the ambient space, is refused
+    before any listing."""
+    graph = tmp_path / "six.lg"
+    graph.write_text("".join(f"edge e{i} - -\n" for i in range(6)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "decompose", graph, "-q", 4)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert err == ("error: PG(11, 4) has 5592405 points, "
+                   f"more than the bound {MAX_POINTS} for a decomposition\n")
 
 
 def test_central_product_reports_are_json(tmp_path, capsys):

@@ -54,6 +54,55 @@ def test_echelon_preserves_span(extra, rows):
         assert gfq.mat_rank(F, list(ech) + [r]) == len(ech)
 
 
+def brute_span(F, vectors, length):
+    """Every combination of the vectors, as a set of tuples."""
+    spanned = set()
+    for coeffs in product(F.elements(), repeat=len(vectors)):
+        vec = (0,) * length
+        for c, v in zip(coeffs, vectors):
+            vec = gfq.vec_add(F, vec, gfq.vec_scale(F, c, v))
+        spanned.add(vec)
+    return spanned
+
+
+def assert_reduced_echelon(basis):
+    """Nonzero rows with increasing pivots, each row 1 at its pivot and every
+    other row 0 there."""
+    pivots = [next(c for c, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for row, pivot in zip(basis, pivots):
+        assert row[pivot] == 1
+        assert all(other[pivot] == 0 for other in basis if other is not row)
+
+
+ECHELON_FIELDS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ECHELON_FIELDS), st.integers(1, 4), st.data())
+def test_echelon_is_the_reduced_basis_of_the_span(q, length, data):
+    F = gfq.get_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * length)
+    rows = data.draw(st.lists(vector, max_size=4))
+    basis = gfq.echelon(F, rows)
+    assert_reduced_echelon(basis)
+    assert brute_span(F, basis, length) == brute_span(F, rows, length)
+    assert len(F.elements()) ** len(basis) == len(brute_span(F, rows, length))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ECHELON_FIELDS), st.integers(1, 5), st.data())
+def test_echelon_extends_a_reduced_basis(q, length, data):
+    """Extending a reduced basis by rows gives the echelon basis of all of
+    them, and a reduced basis is a fixed point of the elimination."""
+    F = gfq.get_field(q)
+    vector = st.tuples(*[st.integers(0, q - 1)] * length)
+    basis = gfq.echelon(F, data.draw(st.lists(vector, max_size=3)))
+    rows = data.draw(st.lists(vector, max_size=3))
+    assert gfq.echelon(F, (), basis) == gfq.echelon(F, basis) == basis
+    assert gfq.echelon(F, rows, basis) == gfq.echelon(F, basis + tuple(rows))
+
+
 @pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (4, 3)])
 def test_projective_points_count(q, m):
     F = gfq.get_field(q)

@@ -294,26 +294,33 @@ def test_hyperplanes_match_brute_force(q, k, extra, data):
         for subset in combinations(gfq.span_points(F, basis), k - 1)
         if gfq.mat_rank(F, subset) == k - 1
     }
-    assert _hyperplanes_of(F, basis) == sorted(brute)
+    hyperplanes = _hyperplanes_of(F, basis)
+    assert hyperplanes == sorted(brute)
     assert len(brute) == gfq.pg_size(q, k)
+    assert all(gfq.echelon(F, hyp) == hyp for hyp in hyperplanes)
 
 
-def test_profile_hit_under_canonical_rows_skips_elimination(monkeypatch):
+def test_point_polynomial_eliminates_only_dependent_rows(monkeypatch):
+    """Independent rows, canonical or not and given as a tuple or a list,
+    are counted as they are; dependent rows and zero rows take their echelon
+    basis's point polynomial, from one elimination.  Rows given as lists
+    share the entry of the same rows given as tuples."""
     model = build_scheme(corpus_graph("toy"), 3)
+    F = model.F
     rows = ((1, 2, 0, 0), (2, 1, 1, 0))
-    key = gfq.echelon(model.F, rows)
+    key = gfq.echelon(F, rows)
     assert key != rows
-    poly = model.point_polynomial(rows)
-    echelon = gfq.echelon
-    calls = []
-
-    def counting_echelon(F, vectors):
-        calls.append(vectors)
-        return echelon(F, vectors)
-
-    monkeypatch.setattr(gfq, "echelon", counting_echelon)
-    assert model.point_polynomial(key) == poly and calls == []
-    assert model.point_polynomial(rows) == poly and calls == [rows]
+    poly = build_scheme(corpus_graph("toy"), 3).point_polynomial(key)
+    calls = count_calls(monkeypatch, ["echelon"])
+    for given in (rows, key, [list(row) for row in rows], list(key)):
+        assert model.point_polynomial(given) == poly
+    assert calls["echelon"] == 0
+    zero = (0, 0, 0, 0)
+    dependent = (rows[0], gfq.vec_add(F, rows[0], rows[1]), rows[1])
+    for given in (dependent, [list(row) for row in dependent], rows + (zero,)):
+        assert model.point_polynomial(given) == poly
+    assert model.point_polynomial((zero,)) == model.point_polynomial(()) == ()
+    assert calls["echelon"] == 3
 
 
 def test_profile_of_full_space():
@@ -422,9 +429,9 @@ def count_calls(monkeypatch, names):
     def counted(name):
         real = getattr(gfq, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         return wrapper
 
@@ -433,14 +440,33 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+def count_eliminated_rows(monkeypatch):
+    """Wrap `gfq.echelon`; the returned list gets the number of rows each
+    call eliminates, a reduced basis that it extends not counted."""
+    eliminated = []
+    real = gfq.echelon
+
+    def wrapper(F, rows, *args, **kwargs):
+        rows = tuple(rows)
+        eliminated.append(len(rows))
+        return real(F, rows, *args, **kwargs)
+
+    monkeypatch.setattr(gfq, "echelon", wrapper)
+    return eliminated
+
+
 def test_line_classification_effort_on_fundament(monkeypatch):
     """Only secant lines with at least q rational points get an echelon
-    basis and a point polynomial: on fundament@3 the pair scan took 2,455
-    `echelon` and 915 `subset_ranks` calls for 233 such lines."""
+    basis and a point polynomial, and the basis is the line's first point
+    extended by one row, its residue: on fundament@3 the pair scan took
+    2,455 `echelon` and 915 `subset_ranks` calls for 233 such lines, and
+    eliminating each basis again for its point polynomial 466 calls."""
     scheme = build_scheme(corpus_graph("fundament"), 3)
     calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
+    eliminated = count_eliminated_rows(monkeypatch)
     assert len(classify_lines(scheme)) == 233
-    assert calls["echelon"] <= 500 and calls["subset_ranks"] <= 240, calls
+    assert calls["echelon"] <= 240 and calls["subset_ranks"] <= 240, calls
+    assert sum(eliminated) <= 240, sum(eliminated)
 
 
 def reference_enumerate_subspaces(scheme):
@@ -526,15 +552,32 @@ def test_grouped_count_mismatch_is_raised(monkeypatch):
         enumerate_subspaces(build_scheme(corpus_graph("toy"), 2))
 
 
-def test_subspace_search_effort_on_spider(monkeypatch):
-    """The grouped growth eliminates and counts only spans that pass the
-    count prune: on spider@3 the level growth took 12,553 `echelon` and
-    2,706 `subset_ranks` calls."""
-    scheme = build_scheme(corpus_graph("spider"), 3)
+def assert_subspace_search_effort(monkeypatch, name, q, sizes, bounds):
+    """enumerate_subspaces on name@q finds sizes (lines, affine patches)
+    within bounds on `echelon` calls, `subset_ranks` calls and rows
+    eliminated."""
+    scheme = build_scheme(corpus_graph(name), q)
     calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
+    eliminated = count_eliminated_rows(monkeypatch)
     projective, affine = enumerate_subspaces(scheme)
-    assert (len(projective[1]), len(affine)) == (37, 144)
-    assert calls["echelon"] <= 3000 and calls["subset_ranks"] <= 300, calls
+    assert (len(projective[1]), len(affine)) == sizes
+    found = (calls["echelon"], calls["subset_ranks"], sum(eliminated))
+    assert all(n <= bound for n, bound in zip(found, bounds)), found
+
+
+def test_subspace_search_effort_on_spider(monkeypatch):
+    """The grouped growth counts only spans that pass the count prune, and
+    builds each one's echelon basis once, as the kept span's extended by one
+    row; hyperplanes and point polynomials eliminate nothing.  On spider@3
+    the level growth took 12,553 `echelon` and 2,706 `subset_ranks` calls,
+    and with every basis eliminated again 1,414 `echelon` calls."""
+    assert_subspace_search_effort(monkeypatch, "spider", 3, (37, 144), (250, 300, 250))
+
+
+def test_subspace_search_effort_on_fundament_at_4(monkeypatch):
+    """As on spider@3: with every basis eliminated again, fundament@4 took
+    8,465 `echelon` calls."""
+    assert_subspace_search_effort(monkeypatch, "fundament", 4, (95, 746), (1000, 1100, 1000))
 
 
 def test_convexity_requires_tree():
