@@ -34,6 +34,7 @@ from .permgroup import (
     compose,
     identity_perm,
     is_identity,
+    orbit_size,
     pointwise_stabilizer,
 )
 from .scheme import SchemeModel, add_monomial, classify_lines, support_points
@@ -505,12 +506,12 @@ class _Space:
 MAX_CONFIGURATION_WORK = 10**6
 
 
-def _bound_configuration_work(q: int, per_pair: int) -> None:
+def _bound_configuration_work(q: int) -> None:
     """Refuse an enumeration of configurations in PG(3, q) whose loops would
     visit more than MAX_CONFIGURATION_WORK candidates: ordered pairs of
-    distinct points, a line through each, and `per_pair` more choices."""
+    distinct points and a line through each; marked ends are counted only."""
     points = q**3 + q**2 + q + 1
-    work = points * (points - 1) * (q**2 + q + 1) ** 2 * per_pair
+    work = points * (points - 1) * (q**2 + q + 1) ** 2
     if work > MAX_CONFIGURATION_WORK:
         raise ValueError(
             f"configurations in PG(3, {q}) need about {work} candidates, "
@@ -537,38 +538,27 @@ def enumerate_roots(q: int) -> dict:
     """All configurations (Y, x, xy, y, X) in PG(3, q): distinct points x, y,
     a line Y through x and a line X through y, both different from the line
     xy, with Y and X disjoint.  Reports the count and transitivity of the
-    semilinear group on them."""
-    _bound_configuration_work(q, 1)
+    semilinear group on them; each is one (x, y, Y, X), since x and y fix xy."""
+    _bound_configuration_work(q)
     space = _Space(q)
-    roots = {(x, y, Y, X) for x, y, _, Y, X in _skew_line_pairs(space)}
-    return _orbit_report(space, roots)
+    x, y, _, Y, X = next(_skew_line_pairs(space))
+    return _orbit_report(space, (x, y, Y, X), sum(1 for _ in _skew_line_pairs(space)))
 
 
-def _orbit_report(space: _Space, configs) -> dict:
-    """The orbit of one configuration, a tuple of ids, under the generators
-    of PGammaL(4, q), found breadth first, against the whole set.  An image
-    outside the set means the enumeration or the action is wrong: the
-    search stops there and reports it as `stray`, not transitive."""
-    start = next(iter(configs))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for cfg in frontier:
-            for g in space.generators.values():
-                img = tuple(g[x] for x in cfg)
-                if img not in seen:
-                    if img not in configs:
-                        return {"count": len(configs), "orbit_size": len(seen),
-                                "transitive": False, "stray": img}
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return {
-        "count": len(configs),
-        "orbit_size": len(seen),
-        "transitive": len(seen) == len(configs),
-    }
+def _orbit_report(space: _Space, start, count: int) -> dict:
+    """The orbit of one configuration, a tuple of ids, under PGammaL(4, q)
+    against the `count` configurations, its size read off one stabilizer
+    chain by orbit-stabilizer.  The configurations are defined by incidence,
+    so they are permuted by every generator that maps each line to the line
+    of its points' images; the first line a generator breaks this on is
+    reported as `stray`, not transitive."""
+    for g in space.generators.values():
+        for L, pts in space.lines.items():
+            if space.lines.get(g[L]) != frozenset(g[a] for a in pts):
+                return {"count": count, "transitive": False, "stray": L}
+    group = PermGroup(space.generators.values(), len(space.points) + len(space.lines))
+    size = orbit_size(group, start)
+    return {"count": count, "orbit_size": size, "transitive": size == count}
 
 
 def enumerate_fundaments(q: int, ends: bool = False) -> dict:
@@ -577,18 +567,18 @@ def enumerate_fundaments(q: int, ends: bool = False) -> dict:
     xy exactly in a different point y, alpha and beta are disjoint, and the
     six points involved span PG(3, q).  The last condition follows from the
     others: disjoint lines share no rational point, hence no nonzero vector,
-    so their two planes in F_q^4 meet in zero and together span it.
+    so their two planes in F_q^4 meet in zero and together span it.  Each is
+    one (x, y, xy, A, B) of `_skew_line_pairs`, since the lines fix x and y.
 
     With `ends`, each configuration additionally carries one marked point on
-    alpha away from x and one on beta away from y."""
-    _bound_configuration_work(q, q * q if ends else 1)
+    alpha away from x and one on beta away from y: each pair counts its
+    (|alpha| - 1)(|beta| - 1) choices, and only the first is built, as the
+    orbit's start."""
+    _bound_configuration_work(q)
     space = _Space(q)
-    configs = set()
-    for x, y, xy, A, B in _skew_line_pairs(space):
-        if not ends:
-            configs.add((A, xy, B))
-            continue
-        for c in space.lines[A] - {x}:
-            for d in space.lines[B] - {y}:
-                configs.add((A, xy, B, c, d))
-    return _orbit_report(space, configs)
+    lines = space.lines
+    x, y, xy, A, B = next(_skew_line_pairs(space))
+    if not ends:
+        return _orbit_report(space, (A, xy, B), sum(1 for _ in _skew_line_pairs(space)))
+    count = sum((len(lines[A]) - 1) * (len(lines[B]) - 1) for *_, A, B in _skew_line_pairs(space))
+    return _orbit_report(space, (A, xy, B, min(lines[A] - {x}), min(lines[B] - {y})), count)

@@ -132,7 +132,7 @@ def cmd_kernel(args) -> int:
 
 
 def _report_line(r) -> str:
-    extra = f"  # {r.detail}" if r.verdict == "skip" and r.detail else ""
+    extra = f"  # {r.detail}" if r.verdict != "pass" and r.detail else ""
     return f"{r.verdict.upper():5s} {r.theorem} [{r.graph}, q={r.q}]{extra}"
 
 

@@ -99,10 +99,14 @@ def parse_morphism(text: str, base_dir: str = ".") -> LooseMorphism:
         elif kind == "vmap":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: vmap takes two vertex names")
+            if parts[1] in vmap:
+                raise FormatError(f"line {lineno}: vmap {parts[1]!r} given twice")
             vmap[parts[1]] = parts[2]
         elif kind == "emap":
             if len(parts) != 3:
                 raise FormatError(f"line {lineno}: emap takes an edge and an image")
+            if parts[1] in emap:
+                raise FormatError(f"line {lineno}: emap {parts[1]!r} given twice")
             img = parts[2]
             if img.startswith("@"):
                 emap[parts[1]] = ("vertex", img[1:])

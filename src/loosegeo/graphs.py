@@ -225,6 +225,10 @@ class LooseMorphism:
 
     def validate(self) -> None:
         src, tgt = self.source, self.target
+        stray = [f"vmap {v!r}: not a source vertex" for v in self.vmap if v not in src.vertices]
+        stray += [f"emap {e!r}: not a source edge" for e in self.emap if e not in src.edges]
+        if stray:
+            raise ValueError(stray[0])
         for v in src.vertices:
             if v not in self.vmap:
                 raise ValueError(f"vertex {v!r} has no image")

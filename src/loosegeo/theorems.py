@@ -287,8 +287,8 @@ def _check_transroot(ctx: Context, options) -> Found:
 
 def _check_transfund(ctx: Context, options) -> Found:
     q = ctx.q or 2
-    with_ends = autsearch.enumerate_fundaments(q, ends=True)  # the larger one is refused first
     plain = autsearch.enumerate_fundaments(q)
+    with_ends = autsearch.enumerate_fundaments(q, ends=True)
     ok = plain["transitive"] and with_ends["transitive"]
     return Found(ok, {"plain": plain, "with_ends": with_ends}, cell=("PG(3,%d)" % q, q))
 
@@ -611,7 +611,8 @@ def _check_rules(ctx: Context, options) -> Found:
                     failures.append(("mg-overlap", piece.label, p))
     # monotonicity: adding a loose edge strictly enlarges the point set
     if graph.vertices:
-        bigger = LooseGraph(graph.vertices, {**graph.edges, "__cov__": (graph.vertices[0], None)})
+        cov = next(f"cov{i}" for i in range(len(graph.edges) + 1) if f"cov{i}" not in graph.edges)
+        bigger = LooseGraph(graph.vertices, {**graph.edges, cov: (graph.vertices[0], None)})
         sup = build_scheme(bigger, q)
         embedded = {p + (0,) for p in scheme.points}
         sup_set = set(sup.points)

@@ -543,10 +543,63 @@ def test_orbit_leaving_the_set_is_a_failed_check(monkeypatch):
 
 
 def test_roots_and_fundaments_single_orbit_q3():
-    # (q^3+q^2+q+1)(q^3+q^2+q)(q^2+q)q^2 of each
+    # (q^3+q^2+q+1)(q^3+q^2+q)(q^2+q)q^2 of each, q^2 times as many with ends
     expected = {"count": 168480, "orbit_size": 168480, "transitive": True}
     assert autsearch.enumerate_roots(3) == expected
     assert autsearch.enumerate_fundaments(3) == expected
+    ends = {"count": 1516320, "orbit_size": 1516320, "transitive": True}
+    assert autsearch.enumerate_fundaments(3, ends=True) == ends
+
+
+def listed_configurations(space, shape):
+    """Every configuration of the shape ("roots", "plain" or "ends") as a
+    tuple of ids, each built: the reference for the counts of
+    `enumerate_roots` and `enumerate_fundaments`."""
+    configs = set()
+    for x, y, xy, A, B in autsearch._skew_line_pairs(space):
+        if shape == "roots":
+            configs.add((x, y, A, B))
+        elif shape == "plain":
+            configs.add((A, xy, B))
+        else:
+            configs.update(
+                (A, xy, B, c, d) for c in space.lines[A] - {x} for d in space.lines[B] - {y}
+            )
+    return configs
+
+
+def listed_orbit_report(space, configs):
+    """The orbit of one configuration under the generators, found breadth
+    first, against the whole set; an image outside it is `stray`: the
+    reference for `autsearch._orbit_report`."""
+    start = next(iter(configs))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cfg in frontier:
+            for g in space.generators.values():
+                img = tuple(g[x] for x in cfg)
+                if img not in seen:
+                    if img not in configs:
+                        return {"count": len(configs), "orbit_size": len(seen),
+                                "transitive": False, "stray": img}
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return {"count": len(configs), "orbit_size": len(seen), "transitive": len(seen) == len(configs)}
+
+
+@pytest.mark.parametrize("q,shape", [
+    (2, "roots"), (2, "plain"), (2, "ends"), (3, "roots"), (3, "plain"),
+])
+def test_orbit_reports_match_listed_orbits(q, shape):
+    if shape == "roots":
+        read = autsearch.enumerate_roots(q)
+    else:
+        read = autsearch.enumerate_fundaments(q, ends=shape == "ends")
+    space = autsearch._Space(q)
+    assert read == listed_orbit_report(space, listed_configurations(space, shape))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -586,22 +639,12 @@ def assert_id_action_matches_vectors(space, configs):
             assert image == map_config(F, g, tuple(vectors[i] for i in cfg))
 
 
-def enumerated_configurations(monkeypatch, enumerate_configs, *args):
-    """The space and the configuration set an enumeration hands to its
-    orbit search."""
-    captured = []
-    monkeypatch.setattr(autsearch, "_orbit_report", lambda *a: captured.append(a))
-    enumerate_configs(*args)
-    return captured[0]
-
-
-def test_id_action_matches_vectors_on_configurations_q2(monkeypatch):
-    space, roots = enumerated_configurations(monkeypatch, autsearch.enumerate_roots, 2)
+def test_id_action_matches_vectors_on_configurations_q2():
+    space = autsearch._Space(2)
+    roots = listed_configurations(space, "roots")
     assert len(roots) == 5040
     assert_id_action_matches_vectors(space, roots)
-    space, fundaments = enumerated_configurations(
-        monkeypatch, autsearch.enumerate_fundaments, 2, True
-    )
+    fundaments = listed_configurations(space, "ends")
     assert len(fundaments) == 20160
     assert_id_action_matches_vectors(space, fundaments)
 

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -103,7 +104,11 @@ def test_bad_input_exits_two(capsys):
 def test_bad_morphism_exits_two(tmp_path, capsys, command):
     bad = tmp_path / "bad.lgm"
     bad.write_text("nonsense\n")
-    for path in (tmp_path / "missing.lgm", bad):
+    stray = tmp_path / "stray.lgm"
+    stray.write_text(f"source {CORPUS / 'p4.lg'}\ntarget {CORPUS / 'p3.lg'}\n"
+                     "vmap a a\nvmap b b\nvmap c b\nvmap d c\nvmap zz a\n"
+                     "emap ab ab\nemap bc @b\nemap cd bc\n")
+    for path in (tmp_path / "missing.lgm", bad, stray):
         code, out, err = run(capsys, command, path)
         assert code == 2 and out == "" and err.startswith("error:")
 
@@ -199,13 +204,43 @@ def test_collineation_witnesses_are_json_data(capsys):
     assert payload["witnesses"] == [{"matrix": [[0, 1], [1, 0]], "frob": 0}]
 
 
-@pytest.mark.parametrize("check,q", [("transroot", 5), ("transfund", 3)])
+@pytest.mark.parametrize("check,q", [("transroot", 5), ("transfund", 4)])
 def test_configuration_checks_refuse_large_q_at_once(capsys, check, q):
     start = time.monotonic()
     code, out, err = run(capsys, "verify", check, "-q", q)
     assert time.monotonic() - start < 1
     assert code == 2
     assert out == "" and err.startswith("error:")
+
+
+def test_transfund_at_q3_counts_without_listing(capsys):
+    # 1,516,320 configurations with ends: listing them would take seconds and
+    # hundreds of megabytes; the counts are summed per line pair and the
+    # orbit sizes read off a stabilizer chain
+    start = time.monotonic()
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "transfund", "-q", 3, "--json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 5
+    assert peak < 16 * 2**20
+    assert code == 0
+    quantities = json.loads(out)["quantities"]
+    assert quantities == {
+        "plain": {"count": 168480, "orbit_size": 168480, "transitive": True},
+        "with_ends": {"count": 1516320, "orbit_size": 1516320, "transitive": True},
+    }
+
+
+def test_failed_check_prints_its_reason(capsys):
+    code, out, _ = run(capsys, "verify", "inner-tree", CORPUS / "k3.lg")
+    assert code == 1
+    assert out.splitlines()[0] == (
+        f"FAIL  inner-tree [{CORPUS / 'k3.lg'}, q=2]"
+        "  # an element moves an inner basis point off the basis"
+    )
 
 
 @pytest.mark.parametrize("graph,q,order", [("gamma2", 4, 552960), ("k3", 5, 372000)])

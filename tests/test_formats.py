@@ -58,6 +58,18 @@ def test_load_morphism_from_corpus():
     assert m.emap["bc"] == ("vertex", "b")
 
 
+@pytest.mark.parametrize("extra,message", [
+    ("vmap zz a", "vmap 'zz': not a source vertex"),
+    ("emap zz ab", "emap 'zz': not a source edge"),
+    ("vmap a b", "line 11: vmap 'a' given twice"),
+    ("emap ab bc", "line 11: emap 'ab' given twice"),
+])
+def test_parse_morphism_refuses_a_stray_or_repeated_map(extra, message):
+    text = (CORPUS / "morphism_contract.lgm").read_text() + extra + "\n"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        formats.parse_morphism(text, base_dir=str(CORPUS))
+
+
 def test_parse_manifest():
     text = (
         "global functoriality q=2\n"

@@ -9,6 +9,7 @@ from loosegeo.permgroup import (
     block_automorphisms,
     compose,
     inverse,
+    orbit_size,
     pointwise_stabilizer,
     transporter,
     verify_central_product,
@@ -148,6 +149,29 @@ def test_transporter_matches_closure(data, draw):
     mapping = [p for p in closure(gens, n) if all(p[x] == y for x, y in zip(pts, images))]
     assert (found is not None) == bool(mapping)
     assert found is None or found in mapping
+
+
+def tuple_orbit(gens, points):
+    """The images of the tuple of points under every product of the
+    generators, found breadth first."""
+    start = tuple(points)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        t = frontier.pop()
+        for g in gens:
+            img = tuple(g[x] for x in t)
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
+
+
+@given(generator_sets(), st.data())
+def test_orbit_size_matches_tuple_orbit(data, draw):
+    n, gens, _ = data
+    points = draw.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    assert orbit_size(PermGroup(gens, n), points) == len(tuple_orbit(gens, points))
 
 
 @st.composite

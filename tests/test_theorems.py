@@ -214,6 +214,14 @@ def test_rules_all_pass_on_toy_and_ve():
             assert rep.verdict == "pass", rep.witnesses
 
 
+@pytest.mark.parametrize("name", ["f", "__cov__", "cov0"])
+def test_rules_pass_whatever_the_edges_are_named(name):
+    # the monotonicity rule adds a loose edge, under a name no edge has
+    graph = formats.parse_graph(f"vertex a\nvertex b\nedge e a b\nedge {name} a -\n")
+    rep = theorems.check_rules(graph, 2, "g")
+    assert rep.verdict == "pass", rep.witnesses
+
+
 def test_rules_catch_a_broken_point_set(monkeypatch):
     # sanity that the rule suite is not vacuous: drop a point from a vertex
     # patch and the local-dimension count must fail
