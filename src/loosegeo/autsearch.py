@@ -207,12 +207,6 @@ class _Lifter:
         return self._first[perm]
 
 
-def _compose_collineations(F: gfq.FField, g: Collineation, h: Collineation) -> Collineation:
-    """g after h: (M, t)(N, s) = (M . Frob^t(N), t + s)."""
-    N = tuple(frobenius_vec(F, row, g.frob) for row in h.matrix)
-    return Collineation(canonical_matrix(F, gfq.mat_mul(F, g.matrix, N)), (g.frob + h.frob) % F.e)
-
-
 @dataclass
 class ProjAut:
     """The semilinear stabilizer of a point set: its group on the rational
@@ -289,17 +283,30 @@ class ProjAut:
     def _listing(self) -> tuple[list[Collineation], list]:
         """Every element, by matrix, then Frobenius power, with its
         permutation: one product of lifted coset representatives along the
-        chain of `perm_group` times a kernel element."""
+        chain of `perm_group` times a kernel element.  A product is held as
+        (permutation, Frobenius power, columns of its matrix) and normalized
+        once, at the end: (M, t)(N, s) = (M . Frob^t(N), t + s) has the
+        columns M . Frob^t(c) of N's columns c, each distinct c mapped once
+        per representative.  An identity representative adds the products
+        unchanged: it lifts to a kernel element, and the kernel is in them."""
         F, n = self.scheme.F, self.perm_group.degree
-        products = [(identity_perm(n), k) for k in self.kernel]
+        products = [(identity_perm(n), k.frob, tuple(zip(*k.matrix))) for k in self.kernel]
         for reps in reversed(self.perm_group.coset_representatives()):
-            lifts = [(u, self.lifter.lift(u)) for u in reps]
-            products = [
-                (compose(u, perm), _compose_collineations(F, g, h))
-                for u, g in lifts
-                for perm, h in products
-            ]
-        found = {g: perm for perm, g in products}
+            columns = {c for _, _, cols in products for c in cols}
+            grown = list(products)
+            for u in reps:
+                if is_identity(u):
+                    continue
+                g = self.lifter.lift(u)
+                image = {c: gfq.mat_vec(F, g.matrix, frobenius_vec(F, c, g.frob)) for c in columns}
+                grown += [
+                    (compose(u, perm), (g.frob + s) % F.e, tuple(image[c] for c in cols))
+                    for perm, s, cols in products
+                ]
+            products = grown
+        found = {
+            Collineation(canonical_matrix(F, tuple(zip(*cols))), s): perm for perm, s, cols in products
+        }
         elements = sorted(found, key=lambda g: (g.matrix, g.frob))
         return elements, [found[g] for g in elements]
 

@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
     text = [_report_line(rep)]
     for key, value in rep.quantities.items():
         text.append(f"  {key}: {value}")
+    if rep.verdict == "fail":
+        text += [f"  witness: {w}" for w in rep.witnesses]
     _emit(args, dataclasses.asdict(rep), text)
     return 0 if rep.verdict != "fail" else 1
 

@@ -188,7 +188,8 @@ class PermGroup:
         """All elements; only call when the order is known to be small."""
         out = [identity_perm(self.degree)]
         for reps in reversed(self.coset_representatives()):
-            out = [compose(u, g) for u in reps for g in out]
+            # the identity is every transversal's first representative
+            out += [compose(u, g) for u in reps if not is_identity(u) for g in out]
         return out
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:

@@ -4,6 +4,8 @@
 and the lifter; orders, fixing subgroups, the linear part and the inner
 action are read off generators and chains.  The references here list every
 element (`elements` and `perms`) and filter the list, as the checks once did.
+The listing itself is compared with the product tree it replaced, a full
+matrix product in normal form per element and coset representative.
 """
 
 from itertools import combinations, permutations, product
@@ -12,11 +14,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from loosegeo import autsearch, formats, gfq, theorems
-from loosegeo.permgroup import PermGroup, transporter
+from loosegeo.graphs import LooseGraph
+from loosegeo.permgroup import PermGroup, compose, transporter
 from loosegeo.scheme import build_scheme
 from conftest import CORPUS, corpus_graph
 from test_autsearch import small_scheme
 from test_formats import loose_graphs
+from test_scheme import count_calls
 
 
 def listed_faithful_witnesses(proj):
@@ -223,8 +227,91 @@ def test_check_quantities_match_listing(check, name, q):
             assert got["induced"] == len(listed)
 
 
-def _refuse_listing(*args):
-    raise AssertionError("the projective group was listed")
+def compose_collineations(F, g, h):
+    """g after h: (M, t)(N, s) = (M . Frob^t(N), t + s), in normal form."""
+    N = tuple(autsearch.frobenius_vec(F, row, g.frob) for row in h.matrix)
+    return autsearch.Collineation(
+        autsearch.canonical_matrix(F, gfq.mat_mul(F, g.matrix, N)), (g.frob + h.frob) % F.e
+    )
+
+
+def listed_by_products(proj):
+    """`elements`, `perms` and `linear` as the product tree that
+    `ProjAut._listing` replaced gives them: every lifted coset
+    representative, the identity's too, times every product so far, each a
+    full matrix product put in normal form, then sorted by (matrix, frob)."""
+    F, n = proj.scheme.F, proj.perm_group.degree
+    products = [(tuple(range(n)), k) for k in proj.kernel]
+    for reps in reversed(proj.perm_group.coset_representatives()):
+        lifts = [(u, proj.lifter.lift(u)) for u in reps]
+        products = [
+            (compose(u, perm), compose_collineations(F, g, h))
+            for u, g in lifts
+            for perm, h in products
+        ]
+    found = {g: perm for perm, g in products}
+    elements = sorted(found, key=lambda g: (g.matrix, g.frob))
+    return elements, [found[g] for g in elements], [g.matrix for g in elements if g.frob == 0]
+
+
+def assert_listing_matches_products(proj):
+    assert (proj.elements, proj.perms, proj.linear) == listed_by_products(proj)
+    assert len(proj.elements) == proj.order
+
+
+@pytest.mark.parametrize("name,q", [
+    (name, q)
+    for q in (2, 3, 4)
+    for name in sorted(p.stem for p in CORPUS.glob("*.lg"))
+    if (name, q) not in {("gamma2", 4), ("k3", 4)}  # 552,960 and 120,960 elements
+])
+def test_listing_matches_products_on_corpus(name, q):
+    assert_listing_matches_products(autsearch.proj_aut_group(build_scheme(corpus_graph(name), q)))
+
+
+@pytest.mark.parametrize("name,loose,q,kernel", [
+    ("k2", 1, 2, 2),
+    ("k2", 1, 3, 4),
+    ("k2", 1, 4, 3),
+    ("p3", 2, 3, 16),
+])
+def test_listing_matches_products_with_a_kernel(name, loose, q, kernel):
+    """A corpus graph with `loose` vertexless edges added: the stabilizing
+    lifts of the identity form a kernel of the given size."""
+    g = corpus_graph(name)
+    g = LooseGraph(g.vertices, {**g.edges, **{f"ve{i}": (None, None) for i in range(loose)}})
+    proj = autsearch.proj_aut_group(build_scheme(g, q))
+    assert len(proj.kernel) == kernel
+    assert_listing_matches_products(proj)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(loose_graphs(), st.sampled_from([2, 3, 4]))
+def test_listing_matches_products_on_random_graphs(g, q):
+    assert_listing_matches_products(autsearch.proj_aut_group(small_scheme(g, q)))
+
+
+def test_listing_effort_on_toy_at_q4(monkeypatch):
+    """Each non-identity coset representative maps each distinct column of
+    the products once: on toy@4 (1,728 elements) that is 315 `mat_vec`
+    calls, where a full product per element and representative took 3,036
+    matrix products."""
+    proj = autsearch.proj_aut_group(build_scheme(corpus_graph("toy"), 4))
+    for reps in proj.perm_group.coset_representatives():
+        for u in reps:
+            proj.lifter.lift(u)
+    calls = count_calls(monkeypatch, ["mat_vec", "mat_mul"])
+    assert len(proj.elements) == 1728
+    assert calls["mat_vec"] <= 400 and calls["mat_mul"] == 0, calls
+
+
+def refuse_listing(monkeypatch):
+    """Make every read of the listing (`elements`, `perms`, `linear`) fail."""
+
+    def listed(proj):
+        raise AssertionError("the projective group was listed")
+
+    monkeypatch.setattr(autsearch.ProjAut, "_listing", property(listed))
 
 
 def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):
@@ -233,7 +320,7 @@ def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):
     graph = formats.parse_graph("vertex x\nvertex y\nedge xy x y\nedge l1 x -\nedge l2 x -\n")
     proj = autsearch.proj_aut_group(build_scheme(graph, 4))
     assert proj.order == 1105920
-    monkeypatch.setattr(autsearch, "_compose_collineations", _refuse_listing)
+    refuse_listing(monkeypatch)
     for spans, expected in (([["l1#1"]], 55296), ([["l1#1", "l2#1"]], 576)):
         group, order = autsearch.fixing_subgroup(proj, spans)
         assert order == expected
@@ -241,7 +328,7 @@ def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):
 
 
 def test_suite_checks_do_not_list_the_group(monkeypatch):
-    monkeypatch.setattr(autsearch, "_compose_collineations", _refuse_listing)
+    refuse_listing(monkeypatch)
     entries = formats.load_manifest(str(CORPUS / "manifest.txt"))
     result = theorems.run_suite(entries, qs=(2, 3))
     assert result["ok"], [(r.theorem, r.graph, r.q) for r in result["failed"]]

@@ -11,6 +11,7 @@ import pytest
 from loosegeo import autsearch, cli
 from loosegeo.cli import main
 from loosegeo.scheme import MAX_POINTS
+from loosegeo.theorems import TheoremReport
 from conftest import CORPUS
 
 
@@ -241,6 +242,16 @@ def test_failed_check_prints_its_reason(capsys):
         f"FAIL  inner-tree [{CORPUS / 'k3.lg'}, q=2]"
         "  # an element moves an inner basis point off the basis"
     )
+
+
+def test_failed_check_prints_its_witnesses(capsys, monkeypatch):
+    def failed(check, graph, q, name, options):
+        return TheoremReport(check, name, q, "fail", {"secant_lines": 6}, [("cov", 0, 5), (1, 2)])
+
+    monkeypatch.setattr(cli.theorems, "verify", failed)
+    code, out, _ = run(capsys, "verify", "rules", CORPUS / "toy.lg")
+    assert code == 1
+    assert out.splitlines()[1:] == ["  secant_lines: 6", "  witness: ('cov', 0, 5)", "  witness: (1, 2)"]
 
 
 @pytest.mark.parametrize("graph,q,order", [("gamma2", 4, 552960), ("k3", 5, 372000)])

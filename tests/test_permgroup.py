@@ -134,6 +134,18 @@ def test_sifting_chain_matches_closure(data):
 
 
 @given(generator_sets())
+def test_elements_keep_the_product_order(data):
+    """Skipping each transversal's identity keeps the order of the full
+    product u_0 u_1 ... u_k, whose identity representative comes first."""
+    n, gens, base = data
+    g = PermGroup(gens, n, base_hint=base)
+    listed = [tuple(range(n))]
+    for reps in reversed(g.coset_representatives()):
+        listed = [compose(u, h) for u in reps for h in listed]
+    assert g.elements() == listed
+
+
+@given(generator_sets())
 def test_pointwise_stabilizer_matches_closure(data):
     n, gens, pts = data
     g = PermGroup(gens, n)
