@@ -1,5 +1,5 @@
 """The degenerate base layer: prime spectra of free "field with one element"
-algebras, their Proj counterpart, and point congruences.
+algebras and their Proj counterpart.
 
 Points of Spec of the free algebra on n variables are in bijection with the
 subsets of the variables (the ideal generated by the subset); specialization
@@ -10,7 +10,6 @@ the F_2-rational points of PG(m, 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .permgroup import PermGroup, block_automorphisms
 
@@ -34,33 +33,12 @@ class FiniteSpace:
         """a is a generization of b (the ideal of a is contained in that of b)."""
         return a & b == a
 
-    def height(self, a: int) -> int:
-        return bin(a).count("1")
-
-    def generic_point(self) -> int:
-        return 0
-
-    def closed_point(self) -> int:
-        return (1 << self.n_vars) - 1
-
 
 def spec_points(n: int) -> FiniteSpace:
     """Spec of the free algebra on n variables: all 2**n 'variable subset' ideals."""
     if not 0 <= n <= MAX_SPEC_VARS:
         raise ValueError(f"n out of range: {n}")
     return FiniteSpace(n, tuple(range(2**n)))
-
-
-def height_census(space: FiniteSpace) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in space.points:
-        h = space.height(p)
-        out[h] = out.get(h, 0) + 1
-    # sanity against the binomial count
-    for h, cnt in out.items():
-        if cnt != comb(space.n_vars, h):
-            raise AssertionError(f"height {h}: {cnt} points, expected {comb(space.n_vars, h)}")
-    return out
 
 
 def proj_c_closed_point_count(m: int) -> int:
@@ -71,38 +49,6 @@ def proj_c_closed_point_count(m: int) -> int:
     if m < 0:
         raise ValueError("m must be >= 0")
     return 2 ** (m + 1) - 1
-
-
-@dataclass(frozen=True)
-class PointCongruence:
-    """The congruence attached to a 0/1 coordinate vector.
-
-    Generators: x_i ~ 0 for every zero coordinate, and x_i ~ x_pivot for every
-    further unit coordinate, where pivot is the first index with a 1.
-    """
-
-    vector: tuple[int, ...]
-    pivot: int
-    zero_indices: tuple[int, ...]
-    unit_pairs: tuple[tuple[int, int], ...]
-
-    def generators(self):
-        gens = [("zero", i) for i in self.zero_indices]
-        gens += [("eq", i, j) for i, j in self.unit_pairs]
-        return gens
-
-
-def point_congruence(vector) -> PointCongruence:
-    vec = tuple(int(v) for v in vector)
-    if any(v not in (0, 1) for v in vec):
-        raise ValueError("coordinates must be 0 or 1")
-    ones = [i for i, v in enumerate(vec) if v == 1]
-    if not ones:
-        raise ValueError("the zero vector carries no point congruence")
-    pivot = ones[0]
-    zero = tuple(i for i, v in enumerate(vec) if v == 0)
-    pairs = tuple((i, pivot) for i in ones[1:])
-    return PointCongruence(vec, pivot, zero, pairs)
 
 
 def topo_aut_group(space: FiniteSpace) -> PermGroup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .permgroup import block_automorphisms
+from .permgroup import PermGroup, block_automorphisms
 
 
 @dataclass(frozen=True)
@@ -325,8 +325,8 @@ def _vertex_key(g: LooseGraph, v: str, colors=None):
     return (g.degree(v), dec.as_tuple(), extra)
 
 
-def graph_aut_group_perms(g: LooseGraph, colors=None) -> list[dict[str, str]]:
-    """All loose-graph automorphisms, as vertex maps.
+def graph_aut_group_perms(g: LooseGraph, colors=None) -> PermGroup:
+    """The loose-graph automorphism group, on the positions of `g.vertices`.
 
     `colors` is an optional extra vertex coloring that automorphisms must
     preserve (used for decorated inner trees).  The search is
@@ -337,5 +337,4 @@ def graph_aut_group_perms(g: LooseGraph, colors=None) -> list[dict[str, str]]:
     index = {v: i for i, v in enumerate(verts)}
     blocks = [(index[a], index[b]) for a, b in g.edges.values() if a is not None and b is not None]
     keys = [_vertex_key(g, v, colors) for v in verts]
-    group, _ = block_automorphisms(len(verts), blocks, [0] * len(blocks), keys)
-    return [dict(zip(verts, (verts[i] for i in p))) for p in group.elements()]
+    return block_automorphisms(len(verts), blocks, [0] * len(blocks), keys)[0]

@@ -1,10 +1,8 @@
 """Matrices attached to loose-graph morphisms.
 
-The local matrix of a morphism at a vertex describes the induced map of
-affine patches in star coordinates; the global matrix acts on the ambient
-coordinates (one per completion vertex) and is the 0/1 indicator of the
-induced completion-vertex map.  Kernels and rank criteria are taken over F_2,
-matching the base layer.
+The global matrix of a morphism acts on the ambient coordinates (one per
+completion vertex) and is the 0/1 indicator of the induced completion-vertex
+map.  Kernels and rank criteria are taken over F_2, matching the base layer.
 """
 
 from __future__ import annotations
@@ -14,39 +12,6 @@ from dataclasses import dataclass
 from . import gfq
 from .graphs import LooseMorphism
 from .scheme import SchemeModel
-
-
-def _star_edges(graph, v: str) -> list[str]:
-    seen = []
-    for e, ends in graph.edges.items():
-        if v in ends and e not in seen:
-            seen.append(e)
-    return seen
-
-
-def local_matrix(morphism: LooseMorphism, v: str):
-    """Star-coordinate matrix at source vertex v.
-
-    Rows are the star edges of the image vertex, columns the star edges of v.
-    An edge mapping to an edge contributes a unit column; a contracted edge a
-    zero column.  If the image star is empty a single synthetic zero row keeps
-    the shape nonempty.
-    """
-    morphism.validate()
-    src, tgt = morphism.source, morphism.target
-    w = morphism.vmap[v]
-    cols = _star_edges(src, v)
-    rows = _star_edges(tgt, w)
-    if not rows:
-        return (tuple(0 for _ in cols),) if cols else ((0,),)
-    mat = []
-    for r in rows:
-        row = []
-        for c in cols:
-            kind, name = morphism.emap[c]
-            row.append(1 if kind == "edge" and name == r else 0)
-        mat.append(tuple(row))
-    return tuple(mat)
 
 
 def global_matrix(morphism: LooseMorphism):

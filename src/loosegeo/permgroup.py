@@ -239,28 +239,23 @@ def verify_central_product(group: PermGroup, factors) -> dict:
     the factors commute pairwise, elementwise, and generate it.
 
     Commuting subgroups A and B have AB = <A, B>, so each pairwise
-    intersection order is read as |A| |B| / |<A, B>|; a pair that does not
-    commute reports None, and the check fails.
+    intersection order is read as |A| |B| / |<A, B>|.  `overlaps` lists
+    them as {"factors": [i, j], "order": o}; a pair that does not commute
+    has order None, and the check fails.
     """
     factors = list(factors)
-    inter = {}
+    overlaps = []
     for (i, a), (j, b) in combinations(enumerate(factors), 2):
+        order = None
         if all(compose(g, h) == compose(h, g) for g in a.generators for h in b.generators):
             joint = PermGroup(a.generators + b.generators, group.degree)
-            inter[(i, j)] = a.order() * b.order() // joint.order()
-        else:
-            inter[(i, j)] = None
-    commute = None not in inter.values()
+            order = a.order() * b.order() // joint.order()
+        overlaps.append({"factors": [i, j], "order": order})
+    commute = all(o["order"] is not None for o in overlaps)
     generated = PermGroup([g for f in factors for g in f.generators], group.degree)
     generates = generated.same_group(group)
-    return {
-        "commute": commute,
-        "generates": generates,
-        "group_order": group.order(),
-        "factor_orders": [f.order() for f in factors],
-        "intersection_orders": inter,
-        "ok": commute and generates,
-    }
+    return {"commute": commute, "generates": generates, "ok": commute and generates,
+            "overlaps": overlaps}
 
 
 # -- automorphisms of coloured block structures ------------------------------

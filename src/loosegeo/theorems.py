@@ -351,15 +351,6 @@ def _linear_fixing_group(ctx: Context, points) -> PermGroup:
     return pointwise_stabilizer(ctx.proj.linear_perm_group, points)
 
 
-def _overlaps(rep: dict) -> list[dict]:
-    """The pairwise intersection orders of a central product report, as
-    plain data (JSON has no tuple keys)."""
-    return [
-        {"factors": [i, j], "order": order}
-        for (i, j), order in rep["intersection_orders"].items()
-    ]
-
-
 def _check_thmcp(ctx: Context, options) -> Found:
     x, y, endx, endy = _toy_shape(ctx.graph)
     q = ctx.q
@@ -377,7 +368,7 @@ def _check_thmcp(ctx: Context, options) -> Found:
         "fixing_group": N.order(),
         "commute": rep["commute"],
         "generates": rep["generates"],
-        "overlaps": _overlaps(rep),
+        "overlaps": rep["overlaps"],
     }
     ok = rep["ok"] and A.order() == q * (q - 1) ** 2 and B.order() == q * (q - 1)
     return Found(ok, quantities)
@@ -403,7 +394,7 @@ def _check_cenprod(ctx: Context, options) -> Found:
         "factors": [f.order() for f in factors],
         "commute": rep["commute"],
         "generates": rep["generates"],
-        "overlaps": _overlaps(rep),
+        "overlaps": rep["overlaps"],
     }
     return Found(rep["ok"], quantities)
 
@@ -430,21 +421,20 @@ def _check_inner_tree(ctx: Context, options) -> Found:
     induced, witness = _inner_action(ctx, ctx.proj.perm_group)
     if induced is None:
         return Found(False, {}, [witness], _OFF_BASIS)
+    # the inner graph's vertices are ctx.inner, in order, so both groups act
+    # on the same positions
     inner_graph = ctx.graph.induced_inner_subgraph()
     colors = {
         v: (ctx.graph.decoration(v).end_edges, ctx.graph.decoration(v).loose_edges)
         for v in ctx.inner
     }
     decorated = graph_aut_group_perms(inner_graph, colors=colors)
-    plain = graph_aut_group_perms(inner_graph)
-    dec_set = {tuple(p[v] for v in ctx.inner) for p in decorated}
-    induced_named = {tuple(ctx.inner[i] for i in p) for p in induced.elements()}
     quantities = {
         "induced": induced.order(),
-        "decorated_tree_group": len(decorated),
-        "plain_tree_group": len(plain),
+        "decorated_tree_group": decorated.order(),
+        "plain_tree_group": graph_aut_group_perms(inner_graph).order(),
     }
-    return Found(induced_named == dec_set, quantities)
+    return Found(induced.same_group(decorated), quantities)
 
 
 def _check_lemfield(ctx: Context, options) -> Found:
@@ -457,8 +447,10 @@ def _check_lemfield(ctx: Context, options) -> Found:
         "multiplicative_group": ctx.q - 1,
         "field_automorphisms": F.e,
     }
-    # Report-only: the two candidate readings are published side by side.
-    return Found(True, quantities)
+    # The coordinatewise Frobenius stabilizes every point set defined by its
+    # supports, so the linear part has index e.
+    ok = ctx.proj.order == F.e * ctx.proj.linear_order
+    return Found(ok, quantities, [] if ok else [(quotient, F.e)])
 
 
 def _check_mttrees(ctx: Context, options) -> Found:

@@ -7,16 +7,6 @@ def contraction_morphism():
     return formats.load_morphism(str(CORPUS / "morphism_contract.lgm"))
 
 
-def test_local_matrix_contraction():
-    m = contraction_morphism()
-    # star of b in the target is {ab, bc}; source star of b is {ab, bc}
-    mat = matrices.local_matrix(m, "b")
-    assert len(mat) == 2
-    for row in mat:
-        assert len(row) == 2
-        assert all(c in (0, 1) for c in row)
-
-
 def test_global_matrix_is_permutation_like_for_identity():
     p3 = corpus_graph("p3")
     ident = LooseMorphism(

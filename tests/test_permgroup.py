@@ -42,7 +42,7 @@ def test_central_product_of_disjoint_swaps():
     whole = PermGroup([(1, 0, 2, 3), (0, 1, 3, 2)], 4)
     rep = verify_central_product(whole, [a, b])
     assert rep["ok"] and rep["commute"] and rep["generates"]
-    assert rep["intersection_orders"] == {(0, 1): 1}
+    assert rep["overlaps"] == [{"factors": [0, 1], "order": 1}]
 
 
 def test_central_product_rejects_non_commuting_factors():
@@ -51,7 +51,7 @@ def test_central_product_rejects_non_commuting_factors():
     b = PermGroup([(0, 2, 1)], 3)
     rep = verify_central_product(g, [a, b])
     assert not rep["commute"] and not rep["ok"]
-    assert rep["intersection_orders"] == {(0, 1): None}
+    assert rep["overlaps"] == [{"factors": [0, 1], "order": None}]
 
 
 def test_central_product_overlap_of_commuting_factors():
@@ -59,8 +59,8 @@ def test_central_product_overlap_of_commuting_factors():
     a = PermGroup([(1, 2, 3, 0)], 4)
     b = PermGroup([(2, 3, 0, 1)], 4)
     rep = verify_central_product(a, [a, b])
-    assert rep["ok"] and rep["factor_orders"] == [4, 2]
-    assert rep["intersection_orders"] == {(0, 1): 2}
+    assert rep["ok"] and [a.order(), b.order()] == [4, 2]
+    assert rep["overlaps"] == [{"factors": [0, 1], "order": 2}]
 
 
 def test_central_product_overlaps_match_listing():
@@ -72,10 +72,15 @@ def test_central_product_overlaps_match_listing():
     factors = [PermGroup([powers[k - 1]], 12) for k in (2, 3, 4)]
     rep = verify_central_product(PermGroup([c], 12), factors)
     assert rep["ok"]
-    assert rep["intersection_orders"] == {(0, 1): 2, (0, 2): 3, (1, 2): 1}
-    for (i, j), order in rep["intersection_orders"].items():
+    assert rep["overlaps"] == [
+        {"factors": [0, 1], "order": 2},
+        {"factors": [0, 2], "order": 3},
+        {"factors": [1, 2], "order": 1},
+    ]
+    for overlap in rep["overlaps"]:
+        i, j = overlap["factors"]
         listed = set(factors[i].elements()) & set(factors[j].elements())
-        assert order == len(listed)
+        assert overlap["order"] == len(listed)
 
 
 @given(st.permutations(list(range(6))), st.permutations(list(range(6))))

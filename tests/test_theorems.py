@@ -1,7 +1,8 @@
 import pytest
 
-from loosegeo import formats, matrices, theorems
+from loosegeo import autsearch, formats, matrices, theorems
 from loosegeo.graphs import LooseMorphism
+from loosegeo.permgroup import PermGroup
 from conftest import CORPUS, corpus_graph
 
 
@@ -84,6 +85,34 @@ def test_lemfield_reports_both_readings():
     assert rep.quantities["quotient"] == 2
     assert rep.quantities["multiplicative_group"] == 3
     assert rep.quantities["field_automorphisms"] == 2
+
+
+@pytest.mark.parametrize("name", ["ve", "k2"])
+@pytest.mark.parametrize("q,quotient", [(4, 2), (8, 3), (9, 2)])
+def test_lemfield_quotient_is_the_field_degree(name, q, quotient):
+    rep = theorems.verify("lemfield-quotient", corpus_graph(name), q, name)
+    assert rep.verdict == "pass"
+    assert rep.quantities["quotient"] == rep.quantities["field_automorphisms"] == quotient
+
+
+def test_lemfield_fails_on_a_wrong_linear_order(monkeypatch):
+    # a planted linear part that is the whole group: quotient 1, not e = 2
+    monkeypatch.setattr(autsearch.ProjAut, "linear_order",
+                        property(lambda proj: proj.order))
+    rep = theorems.verify("lemfield-quotient", corpus_graph("toy"), 4, "toy")
+    assert rep.verdict == "fail"
+    assert rep.witnesses == [(1, 2)]
+
+
+@pytest.mark.parametrize("name", ["p3", "p4", "p5", "spider", "fundament"])
+@pytest.mark.parametrize("q", [2, 3])
+def test_inner_tree_lists_no_group(name, q, monkeypatch):
+    def listed(group):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(PermGroup, "elements", listed)
+    rep = theorems.verify("inner-tree", corpus_graph(name), q, name)
+    assert rep.verdict == ("skip" if name == "p3" else "pass")
 
 
 def test_all_morphisms_counts():
