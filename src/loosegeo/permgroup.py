@@ -20,6 +20,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import prod
 
+MAX_SEARCH_NODES = 10**6  # point images one `block_automorphisms` call may accept
+
 
 def identity_perm(n: int) -> tuple[int, ...]:
     return tuple(range(n))
@@ -274,16 +276,12 @@ def _refine_colors(n: int, incident: list, kinds: list, blocks: list, colors: li
         for i in range(n)
     ]
     while True:
+        sig = [(kind, tuple(sorted(colors[j] for j in pts))) for kind, pts in zip(kinds, blocks)]
         table: dict = {}
         new = [0] * n
         for i in range(n):
-            sig = tuple(
-                sorted(
-                    (kinds[k], tuple(sorted(colors[j] for j in blocks[k])))
-                    for k in incident[i]
-                )
-            )
-            new[i] = table.setdefault((colors[i], sig), len(table))
+            key = (colors[i], tuple(sorted(sig[k] for k in incident[i])))
+            new[i] = table.setdefault(key, len(table))
         if new == colors:
             return colors
         colors = new
@@ -294,7 +292,8 @@ def block_automorphisms(n: int, blocks, kinds, colors, accept=None) -> tuple[Per
     `colors` (any hashable values), the blocks (lists of points) and each
     block's kind and size, found from generators.  Two points may lie on at
     most one block.  Returns the group and the number of search nodes (point
-    images the backtrack accepted).
+    images the backtrack accepted); a search that accepts more than
+    MAX_SEARCH_NODES raises ValueError.
 
     `accept`, if given, is a leaf test: only the permutations it keeps are
     returned.  They must form a subgroup, so that the orbit pruning below
@@ -438,6 +437,9 @@ def block_automorphisms(n: int, blocks, kinds, colors, accept=None) -> tuple[Per
             if fixed is None:
                 continue
             nodes += 1
+            if nodes > MAX_SEARCH_NODES:
+                raise ValueError(f"the automorphism search accepted {nodes} nodes, "
+                                 f"more than the bound {MAX_SEARCH_NODES}")
             frame[3], frame[4] = k, fixed
             if step + 1 < n:
                 stack.append([step + 1, stay, None, 0, None])

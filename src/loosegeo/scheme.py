@@ -12,8 +12,9 @@ F_{q^r} with support inside a coordinate set S number x^(k - r_S), with
 x = q^r, k = dim W and r_S the F_q-rank of the columns off S of a basis of
 W.  So one integer polynomial in x counts the vectors of W with a good
 support, and divided by x - 1 it is the point polynomial of W, counting the
-points of W in the set at every degree.  Every containment and stability
-test below compares point polynomials.
+points of W in the set at every degree.  Spans of the subspace search and
+the stability tests compare point polynomials; a line's polynomial is read
+off its support and its rational point count (`classify_lines`).
 """
 
 from __future__ import annotations
@@ -255,15 +256,26 @@ def rich_lines(scheme: SchemeModel, lines) -> list[tuple]:
 def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
     """All projective and complete-affine lines of the point set: point
     polynomial 1 + x (every point over every F_{q^r} is in the set) or x
-    (one of the q + 1 points is missing at every extension degree)."""
-    F, pts = scheme.F, scheme.points
+    (one of the q + 1 points is missing at every extension degree).
+
+    A secant line (p, residue, ids) has its polynomial read off its support
+    U = supp(p) | supp(residue) and its n = len(ids) rational points.  Its
+    points with a zero in U are its special points, one per class of
+    parallel nonzero columns (p_i, residue_i) and all rational; the others
+    have support U.  So its polynomial is (n - q) + x if U is good and the
+    constant n if not: the line is projective iff U is good and n = q + 1,
+    and complete-affine iff U is good and n = q."""
+    F, q, pts, good = scheme.F, scheme.q, scheme.points, scheme._good_supports
     lines = []
-    for basis, ids in rich_lines(scheme, secant_lines(scheme)):
-        poly = scheme.point_polynomial(basis)
+    for p, residue, ids in secant_lines(scheme):
+        n = len(ids)
+        if n < q or scheme.support_mask(p) | scheme.support_mask(residue) not in good:
+            continue
+        basis = gfq.echelon(F, (residue,), (p,))
         inside = tuple(pts[i] for i in ids)
-        if poly == (1, 1):
+        if n == q + 1:
             lines.append(GeometryLine("projective", inside, basis, None))
-        elif poly == (0, 1):
+        else:
             gap = next(x for x in gfq.span_points(F, basis) if x not in scheme.point_index)
             lines.append(GeometryLine("affine", inside, basis, gap))
     return sorted(lines, key=lambda l: (l.kind, l.points))

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from loosegeo import autsearch, cli
+from loosegeo import autsearch, cli, permgroup
 from loosegeo.cli import main
 from loosegeo.scheme import MAX_POINTS
 from loosegeo.theorems import TheoremReport
@@ -144,6 +144,13 @@ def test_aut_refuses_a_lift_space_beyond_the_bound(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: the lifts of the identity form a space of dimension 21:")
     assert err.endswith(f"more than the bound {autsearch.MAX_LIFT_CANDIDATES}\n")
+
+
+def test_aut_refuses_a_search_beyond_the_node_bound(monkeypatch, capsys):
+    monkeypatch.setattr(permgroup, "MAX_SEARCH_NODES", 50)
+    code, out, err = run(capsys, "aut", CORPUS / "toy.lg", "-q", 3)
+    assert code == 2 and out == ""
+    assert err == "error: the automorphism search accepted 51 nodes, more than the bound 50\n"
 
 
 def test_decompose_refuses_an_ambient_space_beyond_the_bound(tmp_path, capsys):

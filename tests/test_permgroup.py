@@ -1,11 +1,13 @@
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loosegeo import permgroup
 from loosegeo.permgroup import (
     PermGroup,
+    _refine_colors,
     block_automorphisms,
     compose,
     inverse,
@@ -14,6 +16,8 @@ from loosegeo.permgroup import (
     transporter,
     verify_central_product,
 )
+from loosegeo.scheme import build_scheme, classify_lines
+from conftest import CORPUS, corpus_graph
 
 
 def sym(n):
@@ -239,3 +243,70 @@ def test_block_kinds_separate_rows_from_columns():
 def test_block_automorphisms_reject_pair_on_two_blocks():
     with pytest.raises(ValueError):
         block_automorphisms(3, [[0, 1], [0, 1, 2]], [0, 0], [0, 0, 0])
+
+
+def reference_refine_colors(n, incident, kinds, blocks, colors):
+    """The iterated incidence colouring with every point building the
+    signature of each of its blocks itself: the reference for
+    `_refine_colors`, which lists each block's signature once per round."""
+    seed: dict = {}
+    colors = [
+        seed.setdefault(
+            (colors[i], tuple(sorted((kinds[k], len(blocks[k])) for k in incident[i]))),
+            len(seed),
+        )
+        for i in range(n)
+    ]
+    while True:
+        table: dict = {}
+        new = [0] * n
+        for i in range(n):
+            sig = tuple(
+                sorted(
+                    (kinds[k], tuple(sorted(colors[j] for j in blocks[k])))
+                    for k in incident[i]
+                )
+            )
+            new[i] = table.setdefault((colors[i], sig), len(table))
+        if new == colors:
+            return colors
+        colors = new
+
+
+def assert_refinement_matches_reference(n, blocks, kinds, colors):
+    """The same colour list, labels included, from both colourings."""
+    blocks = [sorted(b) for b in blocks]
+    incident = [[] for _ in range(n)]
+    for k, pts in enumerate(blocks):
+        for a in pts:
+            incident[a].append(k)
+    args = (n, incident, kinds, blocks, colors)
+    assert _refine_colors(*args) == reference_refine_colors(*args)
+
+
+@pytest.mark.parametrize("name,q", list(product(sorted(p.stem for p in CORPUS.glob("*.lg")), [2, 3, 4])))
+def test_refine_colors_matches_reference_on_line_geometries(name, q):
+    scheme = build_scheme(corpus_graph(name), q)
+    lines = classify_lines(scheme)
+    blocks = [[scheme.point_index[p] for p in line.points] for line in lines]
+    n = len(scheme.points)
+    assert_refinement_matches_reference(n, blocks, [line.kind for line in lines], [0] * n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_structures())
+def test_refine_colors_matches_reference(structure):
+    assert_refinement_matches_reference(*structure)
+
+
+def test_block_automorphisms_refuse_a_search_beyond_the_bound(monkeypatch):
+    # the 3 x 3 grid, whose search accepts 40 nodes
+    rows = [[3 * r + c for c in range(3)] for r in range(3)]
+    cols = [[3 * r + c for r in range(3)] for c in range(3)]
+    structure = (9, rows + cols, [0] * 6, [0] * 9)
+    _, nodes = block_automorphisms(*structure)
+    monkeypatch.setattr(permgroup, "MAX_SEARCH_NODES", nodes)
+    assert block_automorphisms(*structure)[1] == nodes
+    monkeypatch.setattr(permgroup, "MAX_SEARCH_NODES", nodes - 1)
+    with pytest.raises(ValueError, match=f"accepted {nodes} nodes, more than the bound {nodes - 1}$"):
+        block_automorphisms(*structure)

@@ -414,6 +414,23 @@ def test_lines_match_reference(name, q):
     assert_lines_match_reference(corpus_graph(name), q)
 
 
+def corpus_cells_up_to(qs, max_points):
+    """The (name, q) corpus cells with at most max_points rational points,
+    sized by the counting polynomial, so that no large scheme is built."""
+    cells = []
+    for path in sorted(CORPUS.glob("*.lg")):
+        poly = interpolate_count_polynomial(corpus_graph(path.stem))
+        cells += [(path.stem, q) for q in qs if sum(c * q**j for j, c in enumerate(poly)) <= max_points]
+    return cells
+
+
+@pytest.mark.parametrize("name,q", corpus_cells_up_to([5, 7, 8, 9], 150))
+def test_lines_match_reference_at_larger_q(name, q):
+    """Larger fields: at q = 8 and 9 the field is not prime, and lines
+    have more points where a coordinate vanishes."""
+    assert_lines_match_reference(corpus_graph(name), q)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(loose_graphs(), st.sampled_from([2, 3, 4]))
 def test_lines_match_reference_on_random_graphs(g, q):
@@ -422,12 +439,13 @@ def test_lines_match_reference_on_random_graphs(g, q):
     assert_lines_match_reference(g, q)
 
 
-def count_calls(monkeypatch, names):
-    """Wrap the named `gfq` functions; the returned dict counts their calls."""
+def count_calls(monkeypatch, names, owner=gfq):
+    """Wrap the named functions of owner (`gfq` unless given); the returned
+    dict counts their calls."""
     calls = dict.fromkeys(names, 0)
 
     def counted(name):
-        real = getattr(gfq, name)
+        real = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -436,7 +454,7 @@ def count_calls(monkeypatch, names):
         return wrapper
 
     for name in names:
-        monkeypatch.setattr(gfq, name, counted(name))
+        monkeypatch.setattr(owner, name, counted(name))
     return calls
 
 
@@ -456,17 +474,29 @@ def count_eliminated_rows(monkeypatch):
 
 
 def test_line_classification_effort_on_fundament(monkeypatch):
-    """Only secant lines with at least q rational points get an echelon
-    basis and a point polynomial, and the basis is the line's first point
-    extended by one row, its residue: on fundament@3 the pair scan took
-    2,455 `echelon` and 915 `subset_ranks` calls for 233 such lines, and
-    eliminating each basis again for its point polynomial 466 calls."""
+    """Only projective and complete-affine lines get an echelon basis, and
+    the basis is the line's first point extended by one row, its residue:
+    on fundament@3 the pair scan took 2,455 `echelon` and 915
+    `subset_ranks` calls for 233 such lines, and eliminating each basis
+    again for its point polynomial 466 calls."""
     scheme = build_scheme(corpus_graph("fundament"), 3)
     calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
     eliminated = count_eliminated_rows(monkeypatch)
     assert len(classify_lines(scheme)) == 233
     assert calls["echelon"] <= 240 and calls["subset_ranks"] <= 240, calls
     assert sum(eliminated) <= 240, sum(eliminated)
+
+
+@pytest.mark.parametrize("name,q", [("fundament", 3), ("toy", 4)])
+def test_line_classification_takes_no_point_polynomial(monkeypatch, name, q):
+    """A line's kind comes from its support and its point count: no point
+    polynomial, and one `echelon` call per returned line for its basis."""
+    scheme = build_scheme(corpus_graph(name), q)
+    polys = count_calls(monkeypatch, ["point_polynomial"], SchemeModel)
+    calls = count_calls(monkeypatch, ["echelon"])
+    lines = classify_lines(scheme)
+    assert polys["point_polynomial"] == 0
+    assert calls["echelon"] == len(lines) > 0
 
 
 def reference_enumerate_subspaces(scheme):
