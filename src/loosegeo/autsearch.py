@@ -17,8 +17,9 @@ combinatorial group whose elements lift to a stabilizing collineation; the
 lift is linear algebra over GF(q), one small null space per Frobenius power,
 and it is the search's leaf test.  No search runs over PG(m-1, q).  Each
 group is held as its generators and chain, the projective one also as the
-kernel of its action on the points; orders, fixing subgroups and the linear
-part are read off them, and the element lists are listed on first read.
+kernel of its action on the points; orders are read off them, the fixing
+subgroups and the linear part by one method, `ProjAut.fixing`, and the
+element lists are listed on first read.
 """
 
 from __future__ import annotations
@@ -212,9 +213,10 @@ class ProjAut:
     """The semilinear stabilizer of a point set: its group on the rational
     points, the `kernel` of that action (the stabilizing lifts of the
     identity, by matrix, then Frobenius power) and the lifter.  The lifts of
-    a permutation are any one of them times the kernel.  Its subgroups are
-    read as stabilizers in one permutation action (`_action`); `elements`,
-    `perms` and `linear` list the group on first read."""
+    a permutation are any one of them times the kernel.  Its subgroups that
+    fix coordinate subspaces, and its linear part, are read by `fixing`, the
+    one reader of the kernel and the Frobenius ids; `elements`, `perms` and
+    `linear` list the group on first read."""
 
     scheme: SchemeModel
     perm_group: PermGroup
@@ -232,10 +234,9 @@ class ProjAut:
 
     @property
     def linear_order(self) -> int:
-        linear_kernel = sum(1 for k in self.kernel if k.frob == 0)
-        return self.linear_perm_group.order() * linear_kernel
+        return self._linear_part[1]
 
-    def _action(self, outside=()) -> tuple[PermGroup, int]:
+    def _action(self, outside) -> tuple[PermGroup, int]:
         """The group as permutations of ids: 0..n-1 the rational points,
         n..n+e-1 the Frobenius powers Z/e (a lift of power t adds t), then
         the orbit of the given projective points outside X, found breadth
@@ -263,16 +264,41 @@ class ProjAut:
         trivial = sum(1 for perm in perms[-len(self.kernel):] if is_identity(perm))
         return PermGroup(perms, n + F.e + len(ids)), trivial
 
+    def fixing(self, spans=(), linear: bool = False) -> tuple[PermGroup, int]:
+        """The elements fixing, pointwise, the rational points of the
+        coordinate subspace spanned by each listed set of completion
+        vertices, only those of Frobenius power 0 if `linear`: their group
+        on the rational points and their number.  With every target in X
+        and no Frobenius condition (always so over a prime field) they are
+        the targets' pointwise stabilizer in `perm_group` times the kernel,
+        and fixing nothing is `perm_group` itself; otherwise they are the
+        pointwise stabilizer in `_action` of the targets' ids and, if
+        `linear`, the Frobenius id of power 0."""
+        scheme = self.scheme
+        F, m, n = scheme.F, scheme.m, len(scheme.points)
+        targets = {
+            p
+            for span in spans
+            for p in gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in span])
+        }
+        fixed = sorted(scheme.point_index[p] for p in targets if p in scheme.point_index)
+        outside = sorted(p for p in targets if p not in scheme.point_index)
+        frob_id = [n] if linear and F.e > 1 else []
+        if not outside and not frob_id:
+            group = pointwise_stabilizer(self.perm_group, fixed) if fixed else self.perm_group
+            return group, group.order() * len(self.kernel)
+        group, trivial = self._action(outside)
+        stab = pointwise_stabilizer(group, fixed + frob_id + [n + F.e + i for i in range(len(outside))])
+        return PermGroup([g[:n] for g in stab.generators], n), stab.order() * trivial
+
     @cached_property
+    def _linear_part(self) -> tuple[PermGroup, int]:
+        return self.fixing(linear=True)
+
+    @property
     def linear_perm_group(self) -> PermGroup:
-        """The permutations with a linear lift (Frobenius power 0): the
-        stabilizer of the Frobenius id of power 0, on the points.  Over a
-        prime field every lift is linear."""
-        if self.scheme.F.e == 1:
-            return self.perm_group
-        n = len(self.scheme.points)
-        linear = pointwise_stabilizer(self._action()[0], [n])
-        return PermGroup([g[:n] for g in linear.generators], n)
+        """The permutations with a linear lift (Frobenius power 0)."""
+        return self._linear_part[0]
 
     def faithful_witnesses(self) -> list[Collineation]:
         """Non-identity elements acting trivially on the rational points."""
@@ -365,26 +391,6 @@ def local_spans(scheme: SchemeModel, w: str) -> list[list[str]]:
         for v in graph.inner_vertices()
         if v != w
     ]
-
-
-def fixing_subgroup(proj: ProjAut, spans) -> tuple[PermGroup, int]:
-    """The elements fixing, pointwise, the rational points of the coordinate
-    subspace spanned by each listed set of completion vertices: their group
-    on the rational points and their number.  They are the pointwise
-    stabilizer of the targets' ids in `ProjAut._action`, the targets outside
-    X included."""
-    scheme = proj.scheme
-    F, m, n = scheme.F, scheme.m, len(scheme.points)
-    targets = {
-        p
-        for span in spans
-        for p in gfq.span_points(F, [_basis_vec(m, scheme.index[v]) for v in span])
-    }
-    outside = sorted(p for p in targets if p not in scheme.point_index)
-    group, trivial = proj._action(outside)
-    fixed = [scheme.point_index[p] for p in targets if p in scheme.point_index]
-    stab = pointwise_stabilizer(group, sorted(fixed) + [n + F.e + i for i in range(len(outside))])
-    return PermGroup([g[:n] for g in stab.generators], n), stab.order() * trivial
 
 
 # -- combinatorial automorphisms ---------------------------------------------

@@ -68,4 +68,4 @@ def kernel_f1(morphism: LooseMorphism, q: int = 2) -> dict:
             kernel.append(p)
         else:
             domain.append(p)
-    return {"kernel": kernel, "domain": domain, "matrix": mat}
+    return {"kernel": kernel, "domain": domain}

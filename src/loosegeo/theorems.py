@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import autsearch, gfq, matrices
 from .graphs import LooseGraph, LooseMorphism, graph_aut_group_perms
-from .permgroup import PermGroup, pointwise_stabilizer, transporter, verify_central_product
+from .permgroup import PermGroup, transporter, verify_central_product
 from .scheme import (
     SchemeModel,
     build_scheme,
@@ -306,9 +306,9 @@ def _toy_shape(graph: LooseGraph):
     loose = {v: [e for e, ends in graph.edges.items() if set(ends) == {v, None}] for v in (x, y)}
     if len(join) != 1 or len(loose[x]) != 1 or len(loose[y]) != 1:
         return None
-    comp = graph.completion()
-    endx = [n for n in comp.names if n.startswith(loose[x][0] + "#")][0]
-    endy = [n for n in comp.names if n.startswith(loose[y][0] + "#")][0]
+    # a loose edge's fresh end is its completed end that is not the vertex
+    ends = graph.completion().edge_ends
+    endx, endy = ((set(ends[loose[v][0]]) - {v}).pop() for v in (x, y))
     return x, y, endx, endy
 
 
@@ -316,9 +316,9 @@ def _check_ddc(ctx: Context, options) -> Found:
     x, y, endx, endy = _toy_shape(ctx.graph)
     q = ctx.q
     proj = ctx.proj
-    d1 = autsearch.fixing_subgroup(proj, [[x, y, endx]])[1]
-    d2 = autsearch.fixing_subgroup(proj, [[x, y, endy]])[1]
-    c = autsearch.fixing_subgroup(proj, [[x, endx, endy]])[1]
+    d1 = proj.fixing([[x, y, endx]])[1]
+    d2 = proj.fixing([[x, y, endy]])[1]
+    c = proj.fixing([[x, endx, endy]])[1]
     ix, iy = ctx.basis_index(x), ctx.basis_index(y)
     has_swap = transporter(proj.perm_group, [ix, iy], [iy, ix]) is not None
     e = ctx.scheme.F.e
@@ -343,24 +343,19 @@ def _check_groups_equal(ctx: Context, options) -> Found:
     return Found(same, {"proj_order": ctx.proj.order, "comb_order": ctx.comb.order})
 
 
-def _linear_fixing_group(ctx: Context, points) -> PermGroup:
-    """The linear elements (Frobenius power 0) fixing every listed point, on
-    the points.  The central products are read in the linear part, as in
-    mttrees: over a non-prime field the Frobenius fixes every basis point,
-    while the factors are linear, so they cannot generate it."""
-    return pointwise_stabilizer(ctx.proj.linear_perm_group, points)
-
-
 def _check_thmcp(ctx: Context, options) -> Found:
     x, y, endx, endy = _toy_shape(ctx.graph)
     q = ctx.q
     proj = ctx.proj
     # A acts on the coordinates of y and of x's free end; it is the pointwise
     # stabilizer of the line through x and y's free end.  B is the pointwise
-    # stabilizer of the plane on x, y and x's free end.
-    A = autsearch.fixing_subgroup(proj, [[x, endy]])[0]
-    B = autsearch.fixing_subgroup(proj, [[x, y, endx]])[0]
-    N = _linear_fixing_group(ctx, [ctx.basis_index(x), ctx.basis_index(y)])
+    # stabilizer of the plane on x, y and x's free end.  The central product
+    # is read in the linear part, as in mttrees: over a non-prime field the
+    # Frobenius fixes every basis point, while the factors are linear, so
+    # they cannot generate it.
+    A = proj.fixing([[x, endy]])[0]
+    B = proj.fixing([[x, y, endx]])[0]
+    N = proj.fixing([[x], [y]], linear=True)[0]
     rep = verify_central_product(N, [A, B])
     quantities = {
         "A": A.order(),
@@ -383,11 +378,8 @@ def _check_kernel_trivial(ctx: Context, options) -> Found:
 
 
 def _check_cenprod(ctx: Context, options) -> Found:
-    factors = [
-        autsearch.fixing_subgroup(ctx.proj, autsearch.local_spans(ctx.scheme, w))[0]
-        for w in ctx.inner
-    ]
-    N = _linear_fixing_group(ctx, ctx.inner_indices)
+    factors = [ctx.proj.fixing(autsearch.local_spans(ctx.scheme, w))[0] for w in ctx.inner]
+    N = ctx.proj.fixing([[v] for v in ctx.inner], linear=True)[0]
     rep = verify_central_product(N, factors)
     quantities = {
         "fixing_group": N.order(),
@@ -459,9 +451,7 @@ def _check_mttrees(ctx: Context, options) -> Found:
     induced, bad = _inner_action(ctx, proj.linear_perm_group)
     if induced is None:
         return Found(False, {}, [bad], _OFF_BASIS)
-    fixing = _linear_fixing_group(ctx, ctx.inner_indices)
-    # each permutation of the linear part has as many linear lifts as the kernel
-    n_fix = fixing.order() * sum(1 for k in proj.kernel if k.frob == 0)
+    n_fix = proj.fixing([[v] for v in ctx.inner], linear=True)[1]
     tree = induced.order()
     quantities = {
         "central_product_order": n_fix,

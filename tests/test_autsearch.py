@@ -469,8 +469,8 @@ def test_comb_search_matches_listing_on_random_graphs(g, q):
 
 def test_local_fixing_subgroup_toy():
     proj = autsearch.proj_aut_group(model("toy", 3))
-    sx = autsearch.fixing_subgroup(proj, autsearch.local_spans(proj.scheme, "x"))
-    sy = autsearch.fixing_subgroup(proj, autsearch.local_spans(proj.scheme, "y"))
+    sx = proj.fixing(autsearch.local_spans(proj.scheme, "x"))
+    sy = proj.fixing(autsearch.local_spans(proj.scheme, "y"))
     # fixing the other vertex's affine patch pointwise leaves q(q-1)^2 elements
     assert sx[1] == sy[1] == 12
     assert sx[0].order() == sy[0].order() == 12
@@ -483,9 +483,9 @@ def test_local_spans_rejects_unknown_vertex():
 
 def test_plane_pointwise_stabilizers_toy():
     proj = autsearch.proj_aut_group(model("toy", 3))
-    d = autsearch.fixing_subgroup(proj, [["x", "y", "lx#1"]])
+    d = proj.fixing([["x", "y", "lx#1"]])
     # (0, 0, 1, 0) on this plane lies outside X: only the lift can fix it
-    c = autsearch.fixing_subgroup(proj, [["x", "lx#1", "ly#1"]])
+    c = proj.fixing([["x", "lx#1", "ly#1"]])
     assert d[1] == 6  # q(q-1)
     assert c[1] == 2  # q-1
 

@@ -41,12 +41,14 @@ def listed_faithful_witnesses(proj):
     return out
 
 
-def listed_fixing_perms(proj, targets):
-    """The point permutations of the elements fixing every target point."""
+def listed_fixing_perms(proj, targets, linear=False):
+    """The point permutations of the elements fixing every target point, of
+    Frobenius power 0 only if `linear`."""
     return [
         perm
         for g, perm in zip(proj.elements, proj.perms)
-        if all(autsearch.apply_collineation(proj.scheme, g, p) == p for p in targets)
+        if not (linear and g.frob)
+        and all(autsearch.apply_collineation(proj.scheme, g, p) == p for p in targets)
     ]
 
 
@@ -106,6 +108,19 @@ def assert_same(group, perms, n):
     assert group.same_group(PermGroup(perms, n))
 
 
+def assert_span_fixers_match_listing(proj, linear=False):
+    """`fixing` of the span of every one, two or three completion vertices
+    against the listing filter: the group on the points and the number of
+    elements."""
+    scheme = proj.scheme
+    for k in (1, 2, 3):
+        for span in combinations(scheme.completion.names, k):
+            group, order = proj.fixing([list(span)], linear=linear)
+            perms = listed_fixing_perms(proj, plane_targets(scheme, span), linear)
+            assert order == len(perms), (span, linear)
+            assert_same(group, perms, len(scheme.points))
+
+
 def assert_chain_reads_match_listing(ctx):
     scheme, proj = ctx.scheme, ctx.proj
     graph, n = scheme.graph, len(scheme.points)
@@ -115,22 +130,17 @@ def assert_chain_reads_match_listing(ctx):
     linear_perms = [perm for g, perm in zip(proj.elements, proj.perms) if g.frob == 0]
     assert_same(proj.linear_perm_group, linear_perms, n)
     for w in graph.vertices:
-        group, order = autsearch.fixing_subgroup(proj, autsearch.local_spans(scheme, w))
+        group, order = proj.fixing(autsearch.local_spans(scheme, w))
         perms = listed_fixing_perms(proj, local_targets(scheme, w))
         assert order == len(perms)
         assert_same(group, perms, n)
-    for k in (1, 2, 3):
-        for span in combinations(scheme.completion.names, k):
-            group, order = autsearch.fixing_subgroup(proj, [list(span)])
-            perms = listed_fixing_perms(proj, plane_targets(scheme, span))
-            assert order == len(perms), span
-            assert_same(group, perms, n)
+    assert_span_fixers_match_listing(proj)
     vertex_points = [ctx.basis_index(v) for v in graph.vertices]
     for k in range(len(vertex_points) + 1):
-        points = vertex_points[:k]
-        assert theorems._linear_fixing_group(ctx, points).same_group(
-            listed_linear_fixing_group(proj, points)
-        )
+        group, order = proj.fixing([[v] for v in graph.vertices[:k]], linear=True)
+        perms = listed_fixing_perms(proj, [scheme.points[i] for i in vertex_points[:k]], True)
+        assert order == len(perms)
+        assert_same(group, perms, n)
     idxs = ctx.inner_indices
     for group, linear_only in ((proj.perm_group, False), (proj.linear_perm_group, True)):
         induced, _ = theorems._inner_action(ctx, group)
@@ -141,9 +151,8 @@ def assert_chain_reads_match_listing(ctx):
     listed = listed_inner_perms(proj, idxs, linear_only=True)
     if listed is not None:
         # mttrees' central product: the linear elements fixing the inner points
-        fixing = theorems._linear_fixing_group(ctx, idxs)
-        linear_kernel = sum(1 for g in proj.kernel if g.frob == 0)
-        assert fixing.order() * linear_kernel == listed[tuple(range(len(idxs)))]
+        order = proj.fixing([[v] for v in ctx.inner], linear=True)[1]
+        assert order == listed[tuple(range(len(idxs)))]
     sample = sorted(set(vertex_points) | set(range(min(n, 5))))
     for ix, iy in permutations(sample, 2):
         found = transporter(proj.perm_group, [ix, iy], [iy, ix])
@@ -160,6 +169,30 @@ def assert_chain_reads_match_listing(ctx):
 ])
 def test_chain_reads_match_listing(name, q):
     assert_chain_reads_match_listing(theorems.Context(corpus_graph(name), q, name))
+
+
+def with_vertexless_edges(name, loose):
+    g = corpus_graph(name)
+    return LooseGraph(g.vertices, {**g.edges, **{f"ve{i}": (None, None) for i in range(loose)}})
+
+
+@pytest.mark.parametrize("name,loose", [
+    ("toy", 0),
+    ("k2", 1),  # a kernel of 3 elements
+])
+def test_span_fixers_at_q4_match_listing(name, loose):
+    """Over GF(4), with and without the Frobenius condition, on spans with
+    targets outside X (toy's fresh ends, the vertexless edge's pair of
+    ends) as well as inside it."""
+    proj = autsearch.proj_aut_group(build_scheme(with_vertexless_edges(name, loose), 4))
+    scheme = proj.scheme
+    assert any(
+        p not in scheme.point_index
+        for span in combinations(scheme.completion.names, 2)
+        for p in plane_targets(scheme, span)
+    )
+    for linear in (False, True):
+        assert_span_fixers_match_listing(proj, linear)
 
 
 @pytest.mark.parametrize("name", ["toy", "gamma1", "ve"])
@@ -278,9 +311,7 @@ def test_listing_matches_products_on_corpus(name, q):
 def test_listing_matches_products_with_a_kernel(name, loose, q, kernel):
     """A corpus graph with `loose` vertexless edges added: the stabilizing
     lifts of the identity form a kernel of the given size."""
-    g = corpus_graph(name)
-    g = LooseGraph(g.vertices, {**g.edges, **{f"ve{i}": (None, None) for i in range(loose)}})
-    proj = autsearch.proj_aut_group(build_scheme(g, q))
+    proj = autsearch.proj_aut_group(build_scheme(with_vertexless_edges(name, loose), q))
     assert len(proj.kernel) == kernel
     assert_listing_matches_products(proj)
 
@@ -322,7 +353,7 @@ def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):
     assert proj.order == 1105920
     refuse_listing(monkeypatch)
     for spans, expected in (([["l1#1"]], 55296), ([["l1#1", "l2#1"]], 576)):
-        group, order = autsearch.fixing_subgroup(proj, spans)
+        group, order = proj.fixing(spans)
         assert order == expected
         assert group.order() == expected  # the kernel is trivial here
 

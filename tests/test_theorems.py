@@ -27,6 +27,12 @@ def test_ddc_quantities():
     assert rep.quantities["D"] == 6
     assert rep.quantities["C"] == 2
     assert rep.quantities["order"] == 144
+    # the loose edges written end first: their fresh ends sit in slot 0
+    slot0 = formats.parse_graph("vertex x\nvertex y\nedge xy x y\nedge lx - x\nedge ly - y\n")
+    assert theorems._toy_shape(corpus_graph("toy")) == ("x", "y", "lx#1", "ly#1")
+    assert theorems._toy_shape(slot0) == ("x", "y", "lx#0", "ly#0")
+    again = theorems.verify("ddc", slot0, 3, "toy")
+    assert (again.verdict, again.quantities) == (rep.verdict, rep.quantities)
 
 
 def test_ddc_rejects_wrong_shape():
