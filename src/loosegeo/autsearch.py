@@ -18,8 +18,9 @@ lift is linear algebra over GF(q), one small null space per Frobenius power,
 and it is the search's leaf test.  No search runs over PG(m-1, q).  Each
 group is held as its generators and chain, the projective one also as the
 kernel of its action on the points; orders are read off them, the fixing
-subgroups and the linear part by one method, `ProjAut.fixing`, and the
-element lists are listed on first read.
+subgroups and the linear part by one method, `ProjAut.fixing`.  `elements`
+and `linear` list the projective group on first read as products of its
+generators' lifts, and only `perms` builds point permutations.
 """
 
 from __future__ import annotations
@@ -73,16 +74,8 @@ def apply_collineation(scheme: SchemeModel, g: Collineation, vec):
 def collineation_point_perm(scheme: SchemeModel, g: Collineation):
     """Permutation induced on the rational points, or None if some image
     leaves the point set."""
-    perm = []
-    for p in scheme.points:
-        img = apply_collineation(scheme, g, p)
-        i = scheme.point_index.get(img)
-        if i is None:
-            return None
-        perm.append(i)
-    if len(set(perm)) != len(perm):
-        return None
-    return tuple(perm)
+    perm = tuple(scheme.point_index.get(apply_collineation(scheme, g, p)) for p in scheme.points)
+    return perm if None not in perm and len(set(perm)) == len(perm) else None
 
 
 def _basis_vec(m: int, i: int) -> tuple[int, ...]:
@@ -107,22 +100,21 @@ def _piece_contained(scheme: SchemeModel, M, piece) -> bool:
 
 
 def collineation_stabilizes(scheme: SchemeModel, M) -> bool:
-    """Exact scheme-stabilizer test for a linear collineation.
-
-    X is the union of its pieces, so an invertible M maps X into itself iff
-    the image of every piece under M is contained in X over all extensions;
-    then M maps each finite set X(F_{q^r}) injectively, so onto, itself.
-    Mapping the rational points into X is checked first as a fast filter; a
-    point sent to zero shows that M is singular.
-    """
+    """Exact scheme-stabilizer test for a linear collineation: mapping the
+    rational points into X is checked first as a fast filter (a point sent
+    to zero shows that M is singular), then `maps_pieces_into`."""
     F = scheme.F
-    for p in scheme.points:
-        img = gfq.mat_vec(F, M, p)
-        if not any(img) or gfq.normalize_point(F, img) not in scheme.point_index:
-            return False
-    return gfq.mat_rank(F, M) == scheme.m and all(
-        _piece_contained(scheme, M, piece) for piece in scheme.pieces
-    )
+    images = (gfq.mat_vec(F, M, p) for p in scheme.points)
+    return all(any(img) and gfq.normalize_point(F, img) in scheme.point_index
+               for img in images) and maps_pieces_into(scheme, M)
+
+
+def maps_pieces_into(scheme: SchemeModel, M) -> bool:
+    """Whether M is invertible and maps X into itself: X is the union of its
+    pieces, so it does iff the image of every piece lies in X over every
+    extension; then M maps each finite X(F_{q^r}) injectively, so onto."""
+    return gfq.mat_rank(scheme.F, M) == scheme.m and all(
+        _piece_contained(scheme, M, piece) for piece in scheme.pieces)
 
 
 # -- projective stabilizer ----------------------------------------------------
@@ -158,9 +150,9 @@ class _Lifter:
     space is M0 times the Frobenius twist of the identity's, so it has
     dimension `dim` on the determining points as on all of them: a solution
     there of another dimension rules pi out at once, and otherwise each of
-    its elements is checked on every point.  All the identity's lifts are
-    checked, so a space of more than MAX_LIFT_CANDIDATES is refused.
-    """
+    its elements is checked on every point, then by `maps_pieces_into`.  All
+    the identity's lifts are checked, so a space of more than
+    MAX_LIFT_CANDIDATES is refused."""
 
     def __init__(self, scheme: SchemeModel):
         F, m = scheme.F, scheme.m
@@ -198,7 +190,7 @@ class _Lifter:
                 if all(
                     any(img) and gfq.normalize_point(F, img) == pts[j]
                     for img, j in zip(images, perm)
-                ) and collineation_stabilizes(self.scheme, M):
+                ) and maps_pieces_into(self.scheme, M):
                     yield Collineation(canonical_matrix(F, M), t)
 
     def lift(self, perm) -> Collineation | None:
@@ -215,8 +207,8 @@ class ProjAut:
     identity, by matrix, then Frobenius power) and the lifter.  The lifts of
     a permutation are any one of them times the kernel.  Its subgroups that
     fix coordinate subspaces, and its linear part, are read by `fixing`, the
-    one reader of the kernel and the Frobenius ids; `elements`, `perms` and
-    `linear` list the group on first read."""
+    one reader of the Frobenius ids.  `elements` and `linear` list the group
+    on first read and compose no permutation; `perms` builds them."""
 
     scheme: SchemeModel
     perm_group: PermGroup
@@ -306,49 +298,71 @@ class ProjAut:
         return [k for k in self.kernel if k != ident]
 
     @cached_property
-    def _listing(self) -> tuple[list[Collineation], list]:
-        """Every element, by matrix, then Frobenius power, with its
-        permutation: one product of lifted coset representatives along the
-        chain of `perm_group` times a kernel element.  A product is held as
-        (permutation, Frobenius power, columns of its matrix) and normalized
-        once, at the end: (M, t)(N, s) = (M . Frob^t(N), t + s) has the
-        columns M . Frob^t(c) of N's columns c, each distinct c mapped once
-        per representative.  An identity representative adds the products
-        unchanged: it lifts to a kernel element, and the kernel is in them."""
-        F, n = self.scheme.F, self.perm_group.degree
-        products = [(identity_perm(n), k.frob, tuple(zip(*k.matrix))) for k in self.kernel]
-        for reps in reversed(self.perm_group.coset_representatives()):
-            columns = {c for _, _, cols in products for c in cols}
-            grown = list(products)
-            for u in reps:
-                if is_identity(u):
-                    continue
-                g = self.lifter.lift(u)
-                image = {c: gfq.mat_vec(F, g.matrix, frobenius_vec(F, c, g.frob)) for c in columns}
-                grown += [
-                    (compose(u, perm), (g.frob + s) % F.e, tuple(image[c] for c in cols))
-                    for perm, s, cols in products
-                ]
-            products = grown
-        found = {
-            Collineation(canonical_matrix(F, tuple(zip(*cols))), s): perm for perm, s, cols in products
-        }
-        elements = sorted(found, key=lambda g: (g.matrix, g.frob))
-        return elements, [found[g] for g in elements]
+    def _transversals(self) -> list[list]:
+        """Each nontrivial level of `perm_group`'s chain, deepest first, as its
+        lifted coset representatives: the identity, then, walking the orbit
+        under the level's generators s, (s(b), s, i, M, t) for s times the i-th
+        one u, u(base point) = b, (M, t) = (M_s . Frob^{t_s}(M_u), t_s + t_u).
+        Only generators are lifted (`lifter.lift`): a product of stabilizing
+        lifts stabilizes and induces the product permutation."""
+        F, m = self.scheme.F, self.scheme.m
+        out = []
+        for point, gens, _ in reversed(self.perm_group.levels()):
+            lifts = [self.lifter.lift(s) for s in gens]
+            reps, seen = [(point, None, 0, tuple(_basis_vec(m, i) for i in range(m)), 0)], {point}
+            for i, (b, _, _, M, t) in enumerate(reps):  # grows as it is walked
+                for s, g in zip(gens, lifts):
+                    if s[b] not in seen:
+                        seen.add(s[b])
+                        N = gfq.mat_mul(F, g.matrix, [frobenius_vec(F, row, g.frob) for row in M])
+                        reps.append((s[b], s, i, N, (g.frob + t) % F.e))
+            out.append(reps)
+        return out
 
-    @property
+    @cached_property
+    def _walk(self) -> tuple[list, list[int]]:
+        """Every element as (matrix, Frobenius power) in normal form, sorted,
+        and its index in the walk: the kernel, then level by level each
+        non-identity representative times every product so far.  Products are
+        (t, columns c of M): (M', t')(M, t) has the columns M'.Frob^t'(c), each
+        distinct c mapped once per representative.  The normal form divides by
+        the first nonzero entry of row 0, each column scaled once per scale."""
+        F = self.scheme.F
+        products = [(k.frob, tuple(zip(*k.matrix))) for k in self.kernel]
+        for reps in self._transversals:
+            columns = {c for _, cols in products for c in cols}
+            images = [(t, {c: gfq.mat_vec(F, M, frobenius_vec(F, c, t)) for c in columns})
+                      for *_, M, t in reps[1:]]
+            products += [((t + s) % F.e, tuple(map(image.__getitem__, cols)))
+                         for t, image in images for s, cols in products]
+        columns = {c for _, cols in products for c in cols}
+        by_lead = {a: {c: gfq.vec_scale(F, F.inv(a), c) for c in columns} for a in range(1, F.q)}
+        leads = (next(filter(None, (c[0] for c in cols))) for _, cols in products)
+        keys = [(tuple(zip(*map(by_lead[a].__getitem__, cols))), s)
+                for a, (s, cols) in zip(leads, products)]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return [keys[i] for i in order], order
+
+    @cached_property
     def elements(self) -> list[Collineation]:
-        return self._listing[0]
+        return [Collineation(M, t) for M, t in self._walk[0]]
 
-    @property
+    @cached_property
     def perms(self) -> list:
-        """Point permutations, aligned with `elements`."""
-        return self._listing[1]
+        """Point permutations, aligned with `elements`: the walk replayed on
+        the points, where the kernel acts trivially."""
+        walk = [identity_perm(self.perm_group.degree)]
+        for reps in self._transversals:
+            us = walk[:1]
+            for _, s, i, _, _ in reps[1:]:
+                us.append(compose(s, us[i]))
+            walk += [compose(u, perm) for u in us[1:] for perm in walk]
+        return [walk[i // len(self.kernel)] for i in self._walk[1]]
 
     @cached_property
     def linear(self) -> list:
         """Canonical matrices of the linear stabilizer."""
-        return [g.matrix for g in self._listing[0] if g.frob == 0]
+        return [M for M, t in self._walk[0] if t == 0]
 
 
 def proj_aut_group(scheme: SchemeModel) -> ProjAut:

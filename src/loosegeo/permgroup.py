@@ -180,17 +180,18 @@ class PermGroup:
             return False
         return is_identity(self.sift(p))
 
-    def coset_representatives(self) -> list[list[tuple[int, ...]]]:
-        """The transversals of the chain that hold more than the identity, top
-        level first: every element is u_0 u_1 ... u_k for exactly one choice
-        of u_j from the j-th list."""
-        return [list(lv.transversal.values()) for lv in self._chain() if len(lv.transversal) > 1]
+    def levels(self) -> list[tuple[int, list, list]]:
+        """The levels of the chain that hold more than the identity, top level
+        first, as (base point, generators, coset representatives, the
+        identity first): every element is u_0 u_1 ... u_k for exactly one
+        choice of u_j from the j-th level's representatives."""
+        return [(lv.point, lv.gens, list(lv.transversal.values()))
+                for lv in self._chain() if len(lv.transversal) > 1]
 
     def elements(self):
         """All elements; only call when the order is known to be small."""
         out = [identity_perm(self.degree)]
-        for reps in reversed(self.coset_representatives()):
-            # the identity is every transversal's first representative
+        for *_, reps in reversed(self.levels()):
             out += [compose(u, g) for u in reps if not is_identity(u) for g in out]
         return out
 

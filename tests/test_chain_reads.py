@@ -4,10 +4,13 @@
 and the lifter; orders, fixing subgroups, the linear part and the inner
 action are read off generators and chains.  The references here list every
 element (`elements` and `perms`) and filter the list, as the checks once did.
-The listing itself is compared with the product tree it replaced, a full
-matrix product in normal form per element and coset representative.
+The listing itself is compared with a product tree that solves the lift of
+every coset representative and forms a full matrix product in normal form
+per element and representative.
 """
 
+import dataclasses
+import random
 from itertools import combinations, permutations, product
 
 import pytest
@@ -269,13 +272,13 @@ def compose_collineations(F, g, h):
 
 
 def listed_by_products(proj):
-    """`elements`, `perms` and `linear` as the product tree that
-    `ProjAut._listing` replaced gives them: every lifted coset
-    representative, the identity's too, times every product so far, each a
-    full matrix product put in normal form, then sorted by (matrix, frob)."""
+    """`elements`, `perms` and `linear` as a product tree of solved lifts:
+    every coset representative of the chain, the identity's too, lifted by
+    `lifter.lift`, times every product so far, each a full matrix product
+    put in normal form, then sorted by (matrix, frob)."""
     F, n = proj.scheme.F, proj.perm_group.degree
     products = [(tuple(range(n)), k) for k in proj.kernel]
-    for reps in reversed(proj.perm_group.coset_representatives()):
+    for *_, reps in reversed(proj.perm_group.levels()):
         lifts = [(u, proj.lifter.lift(u)) for u in reps]
         products = [
             (compose(u, perm), compose_collineations(F, g, h))
@@ -322,27 +325,75 @@ def test_listing_matches_products_on_random_graphs(g, q):
     assert_listing_matches_products(autsearch.proj_aut_group(small_scheme(g, q)))
 
 
+@pytest.mark.parametrize("name,q", [("k2", 8), ("k2", 9), ("ve", 8), ("ve", 9)])
+def test_listing_matches_products_at_frobenius_degrees_above_2(name, q):
+    """GF(8) (Frobenius of degree 3) and GF(9) (p = 3), where lifted
+    representatives are multiplied with twists t + s mod e of order above 2:
+    PGammaL(2, q) on k2 (1,512 and 1,440 elements) and on ve."""
+    proj = autsearch.proj_aut_group(build_scheme(corpus_graph(name), q))
+    assert {g.frob for g in proj.elements} == set(range(proj.frob_count))
+    assert_listing_matches_products(proj)
+
+
+@pytest.mark.parametrize("name,loose,q", [("toy", 0, 4), ("k2", 1, 4), ("k2", 0, 8)])
+def test_listing_from_a_chain_of_schreier_residues(name, loose, q):
+    """`perm_group` rebuilt from its generators and the products of their
+    pairs, shuffled: some levels of the new chain hold Schreier residues, not the
+    search's generators.  The listing is unchanged, and every lifted coset
+    representative induces its permutation and stabilizes X."""
+    scheme = build_scheme(with_vertexless_edges(name, loose), q)
+    proj = autsearch.proj_aut_group(scheme)
+    gens = proj.perm_group.generators
+    gens = gens + [compose(a, b) for a, b in permutations(gens, 2)]
+    random.Random(0).shuffle(gens)
+    rebuilt = dataclasses.replace(proj, perm_group=PermGroup(gens, proj.perm_group.degree))
+    assert rebuilt.perm_group.order() == proj.perm_group.order()
+    assert any(s not in gens for _, level, _ in rebuilt.perm_group.levels() for s in level)
+    assert (rebuilt.elements, rebuilt.perms, rebuilt.linear) == (
+        proj.elements, proj.perms, proj.linear)
+    for reps in rebuilt._transversals:
+        us = [tuple(range(len(scheme.points)))]
+        for _, s, i, M, t in reps[1:]:
+            us.append(compose(s, us[i]))
+            g = autsearch.Collineation(M, t)
+            assert autsearch.collineation_point_perm(scheme, g) == us[-1]
+            assert autsearch.collineation_stabilizes(scheme, M)
+
+
 def test_listing_effort_on_toy_at_q4(monkeypatch):
-    """Each non-identity coset representative maps each distinct column of
-    the products once: on toy@4 (1,728 elements) that is 315 `mat_vec`
-    calls, where a full product per element and representative took 3,036
-    matrix products."""
+    """The listing solves no lift: no null space and no `_Lifter.lifts`
+    call.  It forms one matrix product per non-identity coset representative
+    (26 on toy@4, 1,728 elements) and maps each distinct column of the
+    products once per representative, and it composes no point permutation
+    until `perms` is read."""
     proj = autsearch.proj_aut_group(build_scheme(corpus_graph("toy"), 4))
-    for reps in proj.perm_group.coset_representatives():
-        for u in reps:
-            proj.lifter.lift(u)
-    calls = count_calls(monkeypatch, ["mat_vec", "mat_mul"])
-    assert len(proj.elements) == 1728
-    assert calls["mat_vec"] <= 400 and calls["mat_mul"] == 0, calls
+    reps = sum(len(reps) - 1 for *_, reps in proj.perm_group.levels())
+    calls = count_calls(monkeypatch, ["null_space", "mat_mul", "mat_vec"])
+    lifts = count_calls(monkeypatch, ["lifts"], owner=autsearch._Lifter)
+    composed = count_calls(monkeypatch, ["compose"], owner=autsearch)
+    assert len(proj.linear) == 864 and len(proj.elements) == 1728
+    assert composed["compose"] == 0 and lifts["lifts"] == 0
+    assert reps == 26 and calls["null_space"] == 0
+    assert calls["mat_mul"] <= reps and calls["mat_vec"] <= 400, calls
+    assert len(proj.perms) == 1728 and composed["compose"] > 0
 
 
 def refuse_listing(monkeypatch):
-    """Make every read of the listing (`elements`, `perms`, `linear`) fail."""
+    """Make every read of the listing (`elements`, `perms`, `linear`) fail:
+    each starts from the lifted transversals."""
 
     def listed(proj):
         raise AssertionError("the projective group was listed")
 
-    monkeypatch.setattr(autsearch.ProjAut, "_listing", property(listed))
+    monkeypatch.setattr(autsearch.ProjAut, "_transversals", property(listed))
+
+
+def test_refuse_listing_refuses_every_read(monkeypatch):
+    proj = autsearch.proj_aut_group(build_scheme(corpus_graph("k2"), 2))
+    refuse_listing(monkeypatch)
+    for read in ("elements", "perms", "linear"):
+        with pytest.raises(AssertionError, match="listed"):
+            getattr(proj, read)
 
 
 def test_fixing_subgroups_of_fresh_ends_do_not_list_the_group(monkeypatch):

@@ -149,7 +149,7 @@ def test_elements_keep_the_product_order(data):
     n, gens, base = data
     g = PermGroup(gens, n, base_hint=base)
     listed = [tuple(range(n))]
-    for reps in reversed(g.coset_representatives()):
+    for *_, reps in reversed(g.levels()):
         listed = [compose(u, h) for u in reps for h in listed]
     assert g.elements() == listed
 
