@@ -36,7 +36,7 @@ from .permgroup import (
     compose,
     identity_perm,
     is_identity,
-    orbit_size,
+    orbit_sizes,
     pointwise_stabilizer,
 )
 from .scheme import SchemeModel, add_monomial, classify_lines, support_points
@@ -569,23 +569,44 @@ def enumerate_roots(q: int) -> dict:
     _bound_configuration_work(q)
     space = _Space(q)
     x, y, _, Y, X = next(_skew_line_pairs(space))
-    return _orbit_report(space, (x, y, Y, X), sum(1 for _ in _skew_line_pairs(space)))
+    count = sum(1 for _ in _skew_line_pairs(space))
+    return _orbit_reports(space, (x, y, Y, X), [(count, 4)])[0]
 
 
-def _orbit_report(space: _Space, start, count: int) -> dict:
-    """The orbit of one configuration, a tuple of ids, under PGammaL(4, q)
-    against the `count` configurations, its size read off one stabilizer
-    chain by orbit-stabilizer.  The configurations are defined by incidence,
-    so they are permuted by every generator that maps each line to the line
-    of its points' images; the first line a generator breaks this on is
-    reported as `stray`, not transitive."""
-    for g in space.generators.values():
-        for L, pts in space.lines.items():
-            if space.lines.get(g[L]) != frozenset(g[a] for a in pts):
-                return {"count": count, "transitive": False, "stray": L}
-    group = PermGroup(space.generators.values(), len(space.points) + len(space.lines))
-    size = orbit_size(group, start)
-    return {"count": count, "orbit_size": size, "transitive": size == count}
+def _orbit_reports(space: _Space, start, counts) -> list[dict]:
+    """For each (count, k) of `counts`, the orbit of start[:k], a
+    configuration as a tuple of ids, under PGammaL(4, q) against the `count`
+    configurations, its size read off one stabilizer chain based at `start`
+    by orbit-stabilizer.  The configurations are defined by incidence, so
+    they are permuted by every generator that maps each line to the line of
+    its points' images; the first line a generator breaks this on is
+    reported as `stray` in every report, none of them transitive."""
+    lines = space.lines
+    stray = next((L for g in space.generators.values() for L, pts in lines.items()
+                  if lines.get(g[L]) != frozenset(g[a] for a in pts)), None)
+    if stray is not None:
+        return [{"count": count, "transitive": False, "stray": stray} for count, _ in counts]
+    group = PermGroup(space.generators.values(), len(space.points) + len(lines))
+    sizes = orbit_sizes(group, start)
+    return [{"count": count, "orbit_size": sizes[k], "transitive": sizes[k] == count}
+            for count, k in counts]
+
+
+def fundament_reports(q: int) -> tuple[dict, dict]:
+    """`enumerate_fundaments(q)` and `enumerate_fundaments(q, ends=True)`:
+    one space, one pass over `_skew_line_pairs` counting both, and one chain
+    based at (alpha, xy, beta, a, b), whose first three transversal sizes
+    give the plain orbit and all five the orbit with ends."""
+    _bound_configuration_work(q)
+    space = _Space(q)
+    lines = space.lines
+    start, count, with_ends = None, 0, 0
+    for x, y, xy, A, B in _skew_line_pairs(space):
+        if start is None:
+            start = (A, xy, B, min(lines[A] - {x}), min(lines[B] - {y}))
+        count += 1
+        with_ends += (len(lines[A]) - 1) * (len(lines[B]) - 1)
+    return tuple(_orbit_reports(space, start, [(count, 3), (with_ends, 5)]))
 
 
 def enumerate_fundaments(q: int, ends: bool = False) -> dict:
@@ -600,12 +621,5 @@ def enumerate_fundaments(q: int, ends: bool = False) -> dict:
     With `ends`, each configuration additionally carries one marked point on
     alpha away from x and one on beta away from y: each pair counts its
     (|alpha| - 1)(|beta| - 1) choices, and only the first is built, as the
-    orbit's start."""
-    _bound_configuration_work(q)
-    space = _Space(q)
-    lines = space.lines
-    x, y, xy, A, B = next(_skew_line_pairs(space))
-    if not ends:
-        return _orbit_report(space, (A, xy, B), sum(1 for _ in _skew_line_pairs(space)))
-    count = sum((len(lines[A]) - 1) * (len(lines[B]) - 1) for *_, A, B in _skew_line_pairs(space))
-    return _orbit_report(space, (A, xy, B, min(lines[A] - {x}), min(lines[B] - {y})), count)
+    orbit's start.  Both reports come from `fundament_reports`."""
+    return fundament_reports(q)[1 if ends else 0]

@@ -301,17 +301,18 @@ class LooseMorphism:
         return out
 
     def compose(self, other: "LooseMorphism") -> "LooseMorphism":
-        """self after other (other: G1 -> G2, self: G2 -> G3)."""
-        if other.target is not self.source and other.target.vertices != self.source.vertices:
+        """self after other (other: G1 -> G2, self: G2 -> G3).  The middle
+        graphs must be one graph, or have the same vertices and edges."""
+        mid, src = other.target, self.source
+        if mid is not src and (mid.vertices != src.vertices or mid.edges != src.edges):
             raise ValueError("morphisms are not composable")
-        vmap = {v: self.vmap[w] for v, w in other.vmap.items()}
-        emap = {}
-        for e, (kind, name) in other.emap.items():
-            if kind == "vertex":
-                emap[e] = ("vertex", self.vmap[name])
-            else:
-                emap[e] = self.emap[name]
-        return LooseMorphism(other.source, self.target, vmap, emap)
+        vmap, emap = self.vmap, self.emap
+        h = LooseMorphism.__new__(LooseMorphism)  # no __init__: these maps need no copy
+        h.source, h.target = other.source, self.target
+        h.vmap = {v: vmap[w] for v, w in other.vmap.items()}
+        h.emap = {e: ("vertex", vmap[name]) if kind == "vertex" else emap[name]
+                  for e, (kind, name) in other.emap.items()}
+        return h
 
 
 # ---------------------------------------------------------------------------

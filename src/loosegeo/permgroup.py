@@ -17,8 +17,8 @@ collineations.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import prod
+from itertools import accumulate, combinations
+from operator import mul
 
 MAX_SEARCH_NODES = 10**6  # point images one `block_automorphisms` call may accept
 
@@ -229,12 +229,13 @@ def transporter(group: PermGroup, points, images):
     return g
 
 
-def orbit_size(group: PermGroup, points) -> int:
-    """The size of the orbit of the tuple of points, |G : G_points| by
-    orbit-stabilizer: the product of the first len(points) transversal sizes
-    of a chain based at the points."""
+def orbit_sizes(group: PermGroup, points) -> list[int]:
+    """The sizes of the orbits of the tuples points[:k], k = 0..len(points):
+    |G : G_points[:k]| by orbit-stabilizer, the product of the first k
+    transversal sizes of one chain based at the points."""
     chain = PermGroup(group.generators, group.degree, base_hint=points)._chain()
-    return prod(len(level.transversal) for level in chain[: len(points)])
+    return list(accumulate((len(level.transversal) for level in chain[: len(points)]),
+                           mul, initial=1))
 
 
 def verify_central_product(group: PermGroup, factors) -> dict:

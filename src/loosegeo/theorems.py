@@ -216,48 +216,58 @@ def random_composable_pairs(count: int = 100, seed: int = 0xF1F1):
 
 
 def _morphism_key(f: LooseMorphism):
-    """A morphism as hashable data: its graphs, by identity, and its maps."""
-    return (f.source, f.target, frozenset(f.vmap.items()), frozenset(f.emap.items()))
+    """A morphism as hashable data: its graphs, by identity, and its maps'
+    items in order (maps in another order miss and are built anew)."""
+    return (f.source, f.target, tuple(f.vmap.items()), tuple(f.emap.items()))
 
 
 def _check_functoriality(ctx: Context, options) -> Found:
     """P_{g o f} == P_g . P_f over F_2 on every composable pair of the
     catalog, then on seeded random pairs of loose trees.
 
-    Each catalog morphism's global matrix is built once, into a table keyed
-    by the morphism; a composite of catalog morphisms is again one of them,
-    so its matrix is looked up, and one outside the table (a fault in
-    `compose`) is built and validated by `global_matrix`.  The product
-    depends only on the two matrices, so it is computed once per pair of
-    values.  A composite that fails validation is a witness, not an error.
+    Each catalog morphism's global matrix is built once and interned as an
+    integer id, into a table keyed by the morphism; a composite of catalog
+    morphisms is again one of them, so its id is looked up, and one outside
+    the table (a fault in `compose`) is built and validated by
+    `global_matrix`.  The product is computed once per pair of ids.  A
+    composite that fails validation is a witness, not an error.
     """
     seed = options.get("seed", 0xF1F1)
     F2 = gfq.get_field(2)
     cat = morphism_catalog()
+    ids: dict[tuple, int] = {}
+    mats: list[tuple] = []
+
+    def intern(mat) -> int:
+        if mat not in ids:
+            ids[mat] = len(mats)
+            mats.append(mat)
+        return ids[mat]
+
     hom = {
-        (i, j): [(f, matrices.global_matrix(f)) for f in all_morphisms(g1, g2)]
+        (i, j): [(f, intern(matrices.global_matrix(f))) for f in all_morphisms(g1, g2)]
         for i, g1 in enumerate(cat)
         for j, g2 in enumerate(cat)
     }
-    table = {_morphism_key(f): mat for pairs in hom.values() for f, mat in pairs}
-    products = {}
+    table = {_morphism_key(f): mid for pairs in hom.values() for f, mid in pairs}
+    products: dict[tuple[int, int], int] = {}
     checked = 0
     witnesses = []
     for i, j, k in product(range(len(cat)), repeat=3):
-        for f, P_f in hom[(i, j)]:
-            for g, P_g in hom[(j, k)]:
+        for f, f_id in hom[(i, j)]:
+            for g, g_id in hom[(j, k)]:
                 checked += 1
                 try:
                     composite = g.compose(f)
                     lhs = table.get(_morphism_key(composite))
                     if lhs is None:
-                        lhs = matrices.global_matrix(composite)
+                        lhs = intern(matrices.global_matrix(composite))
                 except ValueError as exc:
                     witnesses.append((i, j, k, f.vmap, g.vmap, str(exc)))
                     continue
-                rhs = products.get((P_g, P_f))
+                rhs = products.get((g_id, f_id))
                 if rhs is None:
-                    rhs = products[(P_g, P_f)] = gfq.mat_mul(F2, P_g, P_f)
+                    rhs = products[(g_id, f_id)] = intern(gfq.mat_mul(F2, mats[g_id], mats[f_id]))
                 if lhs != rhs:
                     witnesses.append((i, j, k, f.vmap, g.vmap))
     exhaustive = checked
@@ -287,8 +297,7 @@ def _check_transroot(ctx: Context, options) -> Found:
 
 def _check_transfund(ctx: Context, options) -> Found:
     q = ctx.q or 2
-    plain = autsearch.enumerate_fundaments(q)
-    with_ends = autsearch.enumerate_fundaments(q, ends=True)
+    plain, with_ends = autsearch.fundament_reports(q)
     ok = plain["transitive"] and with_ends["transitive"]
     return Found(ok, {"plain": plain, "with_ends": with_ends}, cell=("PG(3,%d)" % q, q))
 

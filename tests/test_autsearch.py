@@ -542,6 +542,18 @@ def test_orbit_leaving_the_set_is_a_failed_check(monkeypatch):
     assert "stray" in fund.quantities["plain"] and "stray" in fund.quantities["with_ends"]
 
 
+def test_transfund_builds_one_space_and_one_chain(monkeypatch):
+    from loosegeo import theorems
+    from test_scheme import count_calls  # test_scheme imports this module
+
+    spaces = count_calls(monkeypatch, ["__init__"], owner=autsearch._Space)
+    chains = count_calls(monkeypatch, ["_build_chain"], owner=permgroup.PermGroup)
+    rep = theorems.verify("transfund", None, 2)
+    assert rep.verdict == "pass"
+    assert rep.quantities["plain"]["count"] == 5040 and rep.quantities["with_ends"]["count"] == 20160
+    assert (spaces["__init__"], chains["_build_chain"]) == (1, 1)
+
+
 def test_roots_and_fundaments_single_orbit_q3():
     # (q^3+q^2+q+1)(q^3+q^2+q)(q^2+q)q^2 of each, q^2 times as many with ends
     expected = {"count": 168480, "orbit_size": 168480, "transitive": True}

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loosegeo import matrices
 from loosegeo.graphs import LooseGraph, LooseMorphism, _vertex_key, fresh_name, graph_aut_group_perms
 from conftest import CORPUS, corpus_graph
 from test_formats import loose_graphs
@@ -138,6 +139,26 @@ def test_compose_matches_pointwise_application():
     for v in p4.vertices:
         assert gf.vmap[v] == g.vmap[f.vmap[v]]
     assert gf.emap == {"ab": ("vertex", "p"), "bc": ("vertex", "p"), "cd": ("vertex", "p")}
+
+
+def test_compose_refuses_middle_graphs_with_other_edges():
+    # f lands in k2 with edge e; g starts from a graph on the same vertices
+    # with edge h, so e has no image under g
+    k2 = LooseGraph(["a", "b"], {"e": ("a", "b")})
+    other = LooseGraph(["a", "b"], {"h": ("a", "b")})
+    ident = {"a": "a", "b": "b"}
+    f = LooseMorphism(k2, k2, ident, {"e": ("edge", "e")})
+    g = LooseMorphism(other, other, ident, {"h": ("edge", "h")})
+    with pytest.raises(ValueError, match="not composable"):
+        g.compose(f)
+    with pytest.raises(ValueError, match="not composable"):
+        matrices.compose_check(g, f)
+    # a copy of the middle graph with the same vertices and edges composes
+    copy = LooseGraph(["a", "b"], {"e": ("a", "b")})
+    h = LooseMorphism(copy, k2, ident, {"e": ("edge", "e")})
+    hf = h.compose(f)
+    assert (hf.source, hf.target, hf.vmap, hf.emap) == (k2, k2, ident, {"e": ("edge", "e")})
+    assert matrices.compose_check(h, f)
 
 
 def test_graph_aut_group_plain_and_colored():

@@ -11,7 +11,7 @@ from loosegeo.permgroup import (
     block_automorphisms,
     compose,
     inverse,
-    orbit_size,
+    orbit_sizes,
     pointwise_stabilizer,
     transporter,
     verify_central_product,
@@ -192,7 +192,8 @@ def tuple_orbit(gens, points):
 def test_orbit_size_matches_tuple_orbit(data, draw):
     n, gens, _ = data
     points = draw.draw(st.lists(st.integers(0, n - 1), max_size=4))
-    assert orbit_size(PermGroup(gens, n), points) == len(tuple_orbit(gens, points))
+    sizes = orbit_sizes(PermGroup(gens, n), points)
+    assert sizes == [len(tuple_orbit(gens, points[:k])) for k in range(len(points) + 1)]
 
 
 @st.composite

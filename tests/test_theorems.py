@@ -4,6 +4,7 @@ from loosegeo import autsearch, formats, matrices, theorems
 from loosegeo.graphs import LooseMorphism
 from loosegeo.permgroup import PermGroup
 from conftest import CORPUS, corpus_graph
+from test_scheme import count_calls
 
 
 def test_verify_rejects_unknown_check():
@@ -232,6 +233,16 @@ def test_functoriality_builds_each_catalog_matrix_once(monkeypatch):
     assert theorems.verify("functoriality", None, 2).verdict == "pass"
     # the catalog's morphisms once, then three per random pair
     assert len(calls) <= morphisms + 3 * 100
+
+
+def test_functoriality_effort(monkeypatch):
+    # compose builds its composite's maps once, without LooseMorphism.__init__;
+    # products are computed once per pair of distinct matrices
+    inits = count_calls(monkeypatch, ["__init__"], owner=LooseMorphism)
+    calls = count_calls(monkeypatch, ["mat_mul"])
+    assert theorems.verify("functoriality", None, 2).verdict == "pass"
+    assert inits["__init__"] <= 219 + 2 * 100, inits  # the catalog, then f and g per random pair
+    assert calls["mat_mul"] == 1618 + 100, calls
 
 
 def test_random_pairs_are_deterministic():
