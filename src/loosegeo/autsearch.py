@@ -557,7 +557,7 @@ def _skew_line_pairs(space: _Space):
             if A == xy:
                 continue
             for B in space.through[y]:
-                if B != xy and not lines[A] & lines[B]:
+                if B != xy and lines[A].isdisjoint(lines[B]):
                     yield x, y, xy, A, B
 
 

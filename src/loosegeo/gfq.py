@@ -286,8 +286,10 @@ def subset_ranks(F: FField, vectors) -> list[int]:
     for s in range(1, 1 << len(vectors)):
         rest = s & (s - 1)
         basis = bases[rest]
-        lead = _leading_one(F, _reduce(F, basis, vectors[(s ^ rest).bit_length() - 1]))
-        bases.append(basis if lead is None else basis + (lead,))
+        if len(basis) < len(vectors[0]):  # a full basis reduces any vector to zero
+            lead = _leading_one(F, _reduce(F, basis, vectors[(s ^ rest).bit_length() - 1]))
+            basis += () if lead is None else (lead,)
+        bases.append(basis)
     return [len(basis) for basis in bases]
 
 
@@ -342,13 +344,16 @@ def span_points(F: FField, vectors) -> list[tuple[int, ...]]:
     sorted: one combination per point of PG(k-1, q) as coefficients, so each
     point comes once.  No echelon form is taken, so tests can use this as a
     reference for the counts that rest on `echelon`."""
+    coords = projective_points(F, len(vectors))
+    return sorted(normalize_point(F, combine(F, c, vectors)) for c in coords)
+
+
+def combine(F: FField, coeffs, vectors) -> tuple[int, ...]:
+    """The linear combination of vectors with the given coefficients."""
     add, mul = F._add, F._mul
-    pts = []
-    for coeffs in projective_points(F, len(vectors)):
-        vec = [0] * len(vectors[0])
-        for c, b in zip(coeffs, vectors):
-            if c:
-                row = mul[c]
-                vec = [add[x][row[y]] for x, y in zip(vec, b)]
-        pts.append(normalize_point(F, tuple(vec)))
-    return sorted(pts)
+    vec = [0] * len(vectors[0])
+    for c, b in zip(coeffs, vectors):
+        if c:
+            row = mul[c]
+            vec = [add[x][row[y]] for x, y in zip(vec, b)]
+    return tuple(vec)

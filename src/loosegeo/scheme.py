@@ -264,7 +264,8 @@ def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
     parallel nonzero columns (p_i, residue_i) and all rational; the others
     have support U.  So its polynomial is (n - q) + x if U is good and the
     constant n if not: the line is projective iff U is good and n = q + 1,
-    and complete-affine iff U is good and n = q."""
+    and complete-affine iff U is good and n = q.  An affine line's gap is
+    its one coordinate point that none of its points has."""
     F, q, pts, good = scheme.F, scheme.q, scheme.points, scheme._good_supports
     lines = []
     for p, residue, ids in secant_lines(scheme):
@@ -276,7 +277,7 @@ def classify_lines(scheme: SchemeModel) -> list[GeometryLine]:
         if n == q + 1:
             lines.append(GeometryLine("projective", inside, basis, None))
         else:
-            gap = next(x for x in gfq.span_points(F, basis) if x not in scheme.point_index)
+            gap = gfq.combine(F, _missing_coordinates(F, basis, inside)[0], basis)
             lines.append(GeometryLine("affine", inside, basis, gap))
     return sorted(lines, key=lambda l: (l.kind, l.points))
 
@@ -295,18 +296,28 @@ class AffinePatch:
     dim: int  # affine dimension
 
 
-def _hyperplanes_of(F: gfq.FField, basis):
-    """All hyperplanes of the subspace spanned by a reduced echelon basis, as
-    sorted such bases: the kernel of each functional c on internal
-    coordinates, with c_p = 1 at its last nonzero p, is spanned by
-    basis[i] - c_i basis[p] for i < p and basis[i] for i > p.  These rows
-    differ from basis only in the pivot column of basis[p], which is none of
-    theirs, so they are already reduced."""
+def _missing_coordinates(F: gfq.FField, basis, points) -> list[tuple[int, ...]]:
+    """The points of PG(k-1, q), k = len(basis), that are the coordinates on a
+    reduced echelon basis of none of the given points of its span: a point's
+    entries at the pivot columns, normalized as the point is."""
+    pivots = [row.index(1) for row in basis]
+    have = {tuple(x[c] for c in pivots) for x in points}
+    return [c for c in gfq.projective_points(F, len(basis)) if c not in have]
+
+
+def _hyperplanes_of(F: gfq.FField, basis, missing=()):
+    """The hyperplanes of the span of a reduced echelon basis that hold the
+    points with coordinates in missing, as sorted such bases: the kernel of
+    each functional c on coordinates, with c_p = 1 at its last nonzero p, is
+    spanned by basis[i] - c_i basis[p] for i < p and basis[i] for i > p.
+    These rows differ from basis only in basis[p]'s pivot column, which is
+    none of theirs, so they are already reduced."""
     out = []
     for p, row in enumerate(basis):
         for c in product(F.elements(), repeat=p):
-            head = (gfq.vec_add(F, basis[i], gfq.vec_scale(F, F.neg(c[i]), row)) for i in range(p))
-            out.append((*head, *basis[p + 1:]))
+            if not any(gfq.mat_vec(F, missing, c + (1,))):
+                head = (gfq.vec_add(F, basis[i], gfq.vec_scale(F, F.neg(c[i]), row)) for i in range(p))
+                out.append((*head, *basis[p + 1:]))
     return sorted(out)
 
 
@@ -323,7 +334,11 @@ def enumerate_subspaces(scheme: SchemeModel):
     residue against B's echelon basis, are what B's one-larger spans add.
     Such a span is spanned by its points (a hyperplane of it holds fewer),
     so they name it; it is tested once, and its echelon basis is B's
-    extended by the residue.
+    extended by the residue.  The one-larger spans already found through B
+    are not scanned again: each is B + x for each of its points x off B, and
+    no two share a point off B.  A patch B minus a hyperplane H holds every
+    rational point of B off H, so H is tested only if it holds B's rational
+    points outside the set.
     """
     dmax = min(
         max((scheme.graph.degree(v) for v in scheme.graph.vertices), default=1),
@@ -338,26 +353,30 @@ def enumerate_subspaces(scheme: SchemeModel):
     for d in range(1, dmax + 1):
         kept = sorted((basis, ids) for ids, basis in level.items())
         level = {}
+        spans_of = [[] for _ in pts]  # point id -> the spans in level holding it
         for basis, ids in kept:
             found = scheme.count_in_subspace(basis, 1)
             if found != len(ids):
                 raise AssertionError(f"span {basis}: grouped count {len(ids)}, "
                                      f"point polynomial count {found}")
             if d < dmax:
-                outside = [i for i in range(len(pts)) if i not in ids]
+                seen = ids.union(*(c for c in spans_of[min(ids)] if ids <= c))
+                outside = [i for i in range(len(pts)) if i not in seen]
                 groups: dict = {}
                 for i, residue in zip(outside, gfq.residues(F, basis, [pts[i] for i in outside])):
                     groups.setdefault(residue, []).append(i)
                 for residue, group in groups.items():
                     if len(ids) + len(group) >= q ** (d + 1):
                         grown = ids.union(group)
-                        if grown not in level:
-                            level[grown] = gfq.echelon(F, (residue,), basis)
+                        level[grown] = gfq.echelon(F, (residue,), basis)
+                        for i in grown:
+                            spans_of[i].append(grown)
             poly = scheme.point_polynomial(basis)
             if poly == (1,) * (d + 1):
                 projective[d].append(basis)
                 continue
-            for hyp in _hyperplanes_of(F, basis):
+            missing = _missing_coordinates(F, basis, [pts[i] for i in ids])
+            for hyp in _hyperplanes_of(F, basis, missing):
                 if poly == add_monomial(scheme.point_polynomial(hyp), d):
                     affine.append(AffinePatch(basis, hyp, d))
     affine.sort(key=lambda a: (a.dim, a.basis))

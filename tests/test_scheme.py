@@ -300,6 +300,22 @@ def test_hyperplanes_match_brute_force(q, k, extra, data):
     assert all(gfq.echelon(F, hyp) == hyp for hyp in hyperplanes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.integers(1, 3), st.integers(0, 2), st.data())
+def test_hyperplanes_through_missing_points_match_brute_force(q, k, extra, data):
+    """Given coordinates on the basis, `_hyperplanes_of` keeps exactly the
+    hyperplanes that hold every point with those coordinates."""
+    F = gfq.get_field(q)
+    entry = st.integers(0, q - 1)
+    rows = data.draw(st.lists(st.tuples(*[entry] * (k + extra)), min_size=k, max_size=k))
+    assume(gfq.mat_rank(F, rows) == k)
+    basis = gfq.echelon(F, rows)
+    missing = data.draw(st.lists(st.sampled_from(gfq.projective_points(F, k)), max_size=3))
+    on_basis = [gfq.combine(F, c, basis) for c in missing]
+    brute = [hyp for hyp in _hyperplanes_of(F, basis) if all(gfq.mat_rank(F, hyp + (x,)) == k - 1 for x in on_basis)]
+    assert _hyperplanes_of(F, basis, missing) == brute
+
+
 def test_point_polynomial_eliminates_only_dependent_rows(monkeypatch):
     """Independent rows, canonical or not and given as a tuple or a list,
     are counted as they are; dependent rows and zero rows take their echelon
@@ -490,13 +506,25 @@ def test_line_classification_effort_on_fundament(monkeypatch):
 @pytest.mark.parametrize("name,q", [("fundament", 3), ("toy", 4)])
 def test_line_classification_takes_no_point_polynomial(monkeypatch, name, q):
     """A line's kind comes from its support and its point count: no point
-    polynomial, and one `echelon` call per returned line for its basis."""
+    polynomial, one `echelon` call per returned line for its basis, and no
+    listing of a line's points for its gap."""
     scheme = build_scheme(corpus_graph(name), q)
     polys = count_calls(monkeypatch, ["point_polynomial"], SchemeModel)
-    calls = count_calls(monkeypatch, ["echelon"])
+    calls = count_calls(monkeypatch, ["echelon", "span_points"])
     lines = classify_lines(scheme)
     assert polys["point_polynomial"] == 0
     assert calls["echelon"] == len(lines) > 0
+    # an affine line's gap is combined from its missing coordinates, not listed
+    assert calls["span_points"] == 0 and any(line.kind == "affine" for line in lines)
+
+
+def reference_hyperplanes(F, basis):
+    """The hyperplanes of the span of basis, sorted, each the kernel of one
+    functional on coordinates eliminated afresh, so that the reference search
+    does not share `_hyperplanes_of` with the search it checks."""
+    k, columns = len(basis), list(zip(*basis))
+    kernels = (gfq.null_space(F, [f], k) for f in gfq.projective_points(F, k))
+    return sorted({gfq.echelon(F, [gfq.mat_vec(F, columns, v) for v in kernel]) for kernel in kernels})
 
 
 def reference_enumerate_subspaces(scheme):
@@ -523,7 +551,7 @@ def reference_enumerate_subspaces(scheme):
                 continue
             survivors.add(basis)
             if not fully:
-                for hyp in _hyperplanes_of(scheme.F, basis):
+                for hyp in reference_hyperplanes(scheme.F, basis):
                     if poly == add_monomial(scheme.point_polynomial(hyp), d):
                         affine.append(AffinePatch(basis, hyp, d))
         if k == dmax + 1:
@@ -584,14 +612,22 @@ def test_grouped_count_mismatch_is_raised(monkeypatch):
 
 def assert_subspace_search_effort(monkeypatch, name, q, sizes, bounds):
     """enumerate_subspaces on name@q finds sizes (lines, affine patches)
-    within bounds on `echelon` calls, `subset_ranks` calls and rows
-    eliminated."""
+    within bounds on `echelon` calls, `subset_ranks` calls, rows eliminated
+    and vectors handed to `gfq.residues`."""
     scheme = build_scheme(corpus_graph(name), q)
     calls = count_calls(monkeypatch, ["echelon", "subset_ranks"])
     eliminated = count_eliminated_rows(monkeypatch)
+    reduced = []
+    residues = gfq.residues
+
+    def counted(F, basis, vectors):
+        reduced.append(len(vectors))
+        return residues(F, basis, vectors)
+
+    monkeypatch.setattr(gfq, "residues", counted)
     projective, affine = enumerate_subspaces(scheme)
     assert (len(projective[1]), len(affine)) == sizes
-    found = (calls["echelon"], calls["subset_ranks"], sum(eliminated))
+    found = (calls["echelon"], calls["subset_ranks"], sum(eliminated), sum(reduced))
     assert all(n <= bound for n, bound in zip(found, bounds)), found
 
 
@@ -600,14 +636,18 @@ def test_subspace_search_effort_on_spider(monkeypatch):
     builds each one's echelon basis once, as the kept span's extended by one
     row; hyperplanes and point polynomials eliminate nothing.  On spider@3
     the level growth took 12,553 `echelon` and 2,706 `subset_ranks` calls,
-    and with every basis eliminated again 1,414 `echelon` calls."""
-    assert_subspace_search_effort(monkeypatch, "spider", 3, (37, 144), (250, 300, 250))
+    and with every basis eliminated again 1,414 `echelon` calls.  A kept
+    span's scan leaves out the points of the one-larger spans already found
+    through it: scanning every point off it handed 7,790 vectors to
+    `gfq.residues`."""
+    assert_subspace_search_effort(monkeypatch, "spider", 3, (37, 144), (250, 300, 250, 4500))
 
 
 def test_subspace_search_effort_on_fundament_at_4(monkeypatch):
     """As on spider@3: with every basis eliminated again, fundament@4 took
-    8,465 `echelon` calls."""
-    assert_subspace_search_effort(monkeypatch, "fundament", 4, (95, 746), (1000, 1100, 1000))
+    8,465 `echelon` calls, and scanning every point off a kept span handed
+    108,602 vectors to `gfq.residues`."""
+    assert_subspace_search_effort(monkeypatch, "fundament", 4, (95, 746), (1000, 1100, 1000, 65000))
 
 
 def test_convexity_requires_tree():
