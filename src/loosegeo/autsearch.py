@@ -185,7 +185,7 @@ class _Lifter:
             if len(basis) != self.dim:
                 continue
             for lam in gfq.projective_points(F, self.dim):
-                M = _square(gfq.mat_mul(F, (lam,), basis)[0], m)
+                M = _square(gfq.combine(F, lam, basis), m)
                 images = (gfq.mat_vec(F, M, u) for u in src)
                 if all(
                     any(img) and gfq.normalize_point(F, img) == pts[j]
@@ -565,12 +565,10 @@ def enumerate_roots(q: int) -> dict:
     """All configurations (Y, x, xy, y, X) in PG(3, q): distinct points x, y,
     a line Y through x and a line X through y, both different from the line
     xy, with Y and X disjoint.  Reports the count and transitivity of the
-    semilinear group on them; each is one (x, y, Y, X), since x and y fix xy."""
-    _bound_configuration_work(q)
-    space = _Space(q)
-    x, y, _, Y, X = next(_skew_line_pairs(space))
-    count = sum(1 for _ in _skew_line_pairs(space))
-    return _orbit_reports(space, (x, y, Y, X), [(count, 4)])[0]
+    semilinear group on them.  x and y are where Y and X meet xy, so these
+    are the plain fundaments (Y, xy, X): the report is
+    `fundament_reports(q)[0]`."""
+    return fundament_reports(q)[0]
 
 
 def _orbit_reports(space: _Space, start, counts) -> list[dict]:

@@ -51,51 +51,24 @@ def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[in
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Check irreducibility of a monic polynomial by trial root/factor search.
-
-    Degrees here are tiny (<= 7), so naive division by all lower-degree monic
-    polynomials is fine.
-    """
-    e = len(poly) - 1
-    if e == 1:
-        return True
-    # no roots in F_p
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if e <= 3:
-        return True
-    # trial division by monic factors of degree 2..e//2
-    for d in range(2, e // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            div = list(tail) + [1]
-            # polynomial remainder of poly by div
-            rem = list(poly)
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c == 0:
-                    continue
-                for j in range(d + 1):
-                    rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-                rem[i] = 0
-            if all(c == 0 for c in rem[:d]):
-                return False
-    return True
+    """A monic polynomial of degree e is irreducible iff no monic polynomial
+    of degree 1..e//2 divides it.  Each remainder is `_poly_mul_mod` of poly
+    and 1 modulo the divisor, so the degree-1 divisors are the root test."""
+    return all(
+        any(_poly_mul_mod(poly, [1], list(tail) + [1], p))
+        for d in range(1, (len(poly) - 1) // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
 
 
 def _find_irreducible(p: int, e: int) -> list[int]:
-    """Smallest monic irreducible polynomial of degree e over F_p, by base-p order."""
+    """Smallest monic irreducible polynomial of degree e over F_p with a
+    nonzero constant term, by base-p order of its lower coefficients (x for
+    e = 1)."""
     if e == 1:
         return [0, 1]
-    for code in range(p**e):
-        tail = [(code // p**i) % p for i in range(e)]
-        poly = tail + [1]
-        if poly[0] != 0 and _is_irreducible(poly, p):
-            return poly
-    raise AssertionError("no irreducible polynomial found")
+    polys = ([(code // p**i) % p for i in range(e)] + [1] for code in range(p**e))
+    return next(poly for poly in polys if poly[0] and _is_irreducible(poly, p))
 
 
 class FField:
@@ -202,22 +175,9 @@ def mat_vec(F: FField, M, v: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def mat_mul(F: FField, A, B):
-    bt = list(zip(*B))
-    return tuple(
-        tuple(
-            _dot(F, row, col)
-            for col in bt
-        )
-        for row in A
-    )
-
-
-def _dot(F: FField, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = F.add(acc, F.mul(a, b))
-    return acc
+    """A·B: row i is `combine(F, A[i], B)`, so every row is () when B has no
+    rows."""
+    return tuple(combine(F, row, B) for row in A)
 
 
 def _reduce(F: FField, pivots, v):
@@ -349,9 +309,10 @@ def span_points(F: FField, vectors) -> list[tuple[int, ...]]:
 
 
 def combine(F: FField, coeffs, vectors) -> tuple[int, ...]:
-    """The linear combination of vectors with the given coefficients."""
+    """The linear combination of vectors with the given coefficients, () for
+    no vectors."""
     add, mul = F._add, F._mul
-    vec = [0] * len(vectors[0])
+    vec = [0] * (len(vectors[0]) if vectors else 0)
     for c, b in zip(coeffs, vectors):
         if c:
             row = mul[c]

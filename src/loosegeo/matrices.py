@@ -46,11 +46,11 @@ class InjectivityReport:
 
 def injectivity_criterion(morphism: LooseMorphism) -> InjectivityReport:
     """P defines an injective linear map iff the target is at least as large
-    and P has full column rank over F_2."""
-    mat = global_matrix(morphism)
-    m1 = len(mat[0])
-    m2 = len(mat)
-    rank = gfq.mat_rank(gfq.get_field(2), mat)
+    and P has full column rank over F_2.  Both dimensions are the sizes of the
+    completions, so a 0 x 0 matrix has rank 0 of 0."""
+    m1 = len(morphism.source.completion())
+    m2 = len(morphism.target.completion())
+    rank = gfq.mat_rank(gfq.get_field(2), global_matrix(morphism))
     return InjectivityReport(rank, m1, m2, m2 >= m1 and rank == m1)
 
 

@@ -58,9 +58,11 @@ class Found:
 
 
 class Context:
-    """Shared lazily computed data for one (graph, q) cell."""
+    """Shared lazily computed data for one (graph, q) cell.  The graph is None
+    on a global line; `configurations` serves transroot and transfund, at
+    q = 2 if q is None."""
 
-    def __init__(self, graph: LooseGraph, q: int, name: str = "graph"):
+    def __init__(self, graph: LooseGraph | None, q: int | None, name: str = "graph"):
         self.graph = graph
         self.q = q
         self.name = name
@@ -76,6 +78,10 @@ class Context:
     @cached_property
     def comb(self) -> autsearch.CombAut:
         return autsearch.comb_aut_group(self.scheme)
+
+    @cached_property
+    def configurations(self) -> tuple[dict, dict]:
+        return autsearch.fundament_reports(self.q or 2)
 
     def basis_index(self, v: str) -> int:
         s = self.scheme
@@ -291,13 +297,13 @@ def _check_functoriality(ctx: Context, options) -> Found:
 
 def _check_transroot(ctx: Context, options) -> Found:
     q = ctx.q or 2
-    rep = autsearch.enumerate_roots(q)
+    rep = ctx.configurations[0]  # the roots are the plain fundaments
     return Found(rep["transitive"], rep, cell=("PG(3,%d)" % q, q))
 
 
 def _check_transfund(ctx: Context, options) -> Found:
     q = ctx.q or 2
-    plain, with_ends = autsearch.fundament_reports(q)
+    plain, with_ends = ctx.configurations
     ok = plain["transitive"] and with_ends["transitive"]
     return Found(ok, {"plain": plain, "with_ends": with_ends}, cell=("PG(3,%d)" % q, q))
 
@@ -726,7 +732,7 @@ def run_suite(entries, qs=(2, 3)) -> dict:
         entry_qs = entry.get("qs", qs)
         options = {"expected": entry.get("igp_expected", True)}
         for i, q in enumerate(entry_qs):
-            ctx = None if graph is None else Context(graph, q, entry["name"])
+            ctx = Context(graph, q, entry["name"])
             for check in entry["checks"]:
                 if not (i and CHECKS[check].once):
                     reports.append(verify(check, graph, q, entry["name"], options, ctx))

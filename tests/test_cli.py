@@ -81,6 +81,18 @@ def test_matrix_and_kernel(capsys):
     assert "kernel points" in out
 
 
+def test_matrix_between_empty_graphs(tmp_path, capsys):
+    (tmp_path / "empty.lg").write_text("")
+    morphism = tmp_path / "empty.lgm"
+    morphism.write_text("source empty.lg\ntarget empty.lg\n")
+    code, out, err = run(capsys, "matrix", morphism)
+    assert (code, out, err) == (0, "rank 0 of 0 -> injective: True\n", "")
+    code, out, _ = run(capsys, "matrix", morphism, "--json")
+    assert code == 0
+    assert json.loads(out) == {"matrix": [], "rank": 0, "source_dim": 0, "target_dim": 0,
+                               "injective": True}
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "ddc", CORPUS / "toy.lg", "-q", 2)
     assert code == 0 and out.startswith("PASS")

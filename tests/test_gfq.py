@@ -1,9 +1,12 @@
+from functools import reduce
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from loosegeo import gfq
+from loosegeo import gfq, matrices
+from loosegeo.graphs import LooseGraph, LooseMorphism
+from conftest import corpus_graph
 
 FIELDS = [2, 3, 4, 5, 8, 9]
 
@@ -211,3 +214,91 @@ def test_span_points_matches_brute_force(data):
     pts = gfq.span_points(F, vectors)
     assert pts == brute_span_points(F, vectors)
     assert len(pts) == gfq.pg_size(q, k)
+
+
+def prime_power(q):
+    """(p, e) with q = p**e, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e, rest = 0, q
+    while rest % p == 0:
+        rest, e = rest // p, e + 1
+    return (p, e) if rest == 1 else None
+
+
+def reducible_monics(p, e):
+    """Every monic polynomial of degree e over F_p that is a product of two
+    monic polynomials of lower degree, as coefficient tuples (constant term
+    first), multiplied out by schoolbook convolution."""
+    out = set()
+    for d in range(1, e // 2 + 1):
+        for a, b in product(product(range(p), repeat=d), product(range(p), repeat=e - d)):
+            f, g = a + (1,), b + (1,)
+            prod = [0] * (e + 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            out.add(tuple(prod))
+    return out
+
+
+PRIME_POWERS = [q for q in range(2, 129) if prime_power(q)]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_modulus_is_the_first_irreducible_polynomial(q):
+    """Over a prime field the modulus is x, so elements encode themselves;
+    otherwise it is the first monic polynomial of degree e, in base-p order
+    of its lower coefficients, with a nonzero constant term that is no
+    product of two monic polynomials of lower degree."""
+    p, e = prime_power(q)
+    modulus = gfq.get_field(q).modulus
+    if e == 1:
+        assert modulus == [0, 1]
+        return
+    reducible = reducible_monics(p, e)
+    polys = (tuple((code // p**i) % p for i in range(e)) + (1,) for code in range(p**e))
+    assert tuple(modulus) == next(f for f in polys if f[0] and f not in reducible)
+
+
+@pytest.mark.parametrize("q", [16, 27, 32, 49, 64, 81, 125, 128])
+def test_larger_fields_have_no_zero_divisors_and_all_inverses(q):
+    F = gfq.get_field(q)
+    nonzero = range(1, q)
+    assert all(F.mul(a, b) for a in nonzero for b in nonzero)
+    assert all(F.mul(a, F.inv(a)) == 1 for a in nonzero)
+
+
+def reference_mat_mul(F, A, B):
+    """A·B entry by entry, each a dot product of a row of A and a column of
+    B; with no rows, B has no columns either."""
+    width = len(B[0]) if B else 0
+    return tuple(
+        tuple(reduce(F.add, (F.mul(a, b[c]) for a, b in zip(row, B)), 0) for c in range(width))
+        for row in A
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 8, 9]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_mat_mul_matches_dot_products(q, n, k, m, data):
+    F = gfq.get_field(q)
+    entry = st.integers(0, q - 1)
+    A = data.draw(st.tuples(*[st.tuples(*[entry] * k)] * n))
+    B = data.draw(st.tuples(*[st.tuples(*[entry] * m)] * k))
+    assert gfq.mat_mul(F, A, B) == reference_mat_mul(F, A, B)
+
+
+def test_mat_mul_of_empty_matrices():
+    F = gfq.get_field(2)
+    assert gfq.mat_mul(F, (), ((1, 0), (0, 1))) == ()
+    # B with no rows (a map through an empty graph): every row of A·B is ()
+    assert gfq.mat_mul(F, ((), ()), ()) == ((), ())
+
+
+def test_compose_check_through_the_empty_graph():
+    # f: empty -> empty, then g: empty -> k2, so P_g is 2 x 0 and P_f is 0 x 0
+    empty = LooseGraph()
+    f = LooseMorphism(empty, empty, {}, {})
+    g = LooseMorphism(empty, corpus_graph("k2"), {}, {})
+    assert matrices.compose_check(g, f)

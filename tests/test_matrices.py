@@ -50,6 +50,16 @@ def test_injectivity_criterion():
     assert matrices.injectivity_criterion(ident).injective
 
 
+def test_injectivity_criterion_between_empty_graphs():
+    # a 0 x 0 matrix: both dimensions come from the completions
+    empty = LooseGraph()
+    rep = matrices.injectivity_criterion(LooseMorphism(empty, empty, {}, {}))
+    assert rep == matrices.InjectivityReport(0, 0, 0, True)
+    k2 = corpus_graph("k2")
+    rep = matrices.injectivity_criterion(LooseMorphism(empty, k2, {}, {}))
+    assert rep == matrices.InjectivityReport(0, 0, 2, True)
+
+
 def test_kernel_and_rational_map():
     f = contraction_morphism()
     rep = matrices.kernel_f1(f, q=2)

@@ -333,6 +333,21 @@ def test_suite_runs_functoriality_once_and_transroot_at_each_q():
         ("functoriality", 2), ("transroot", 2), ("transroot", 3)]
 
 
+def test_suite_shares_one_configuration_pass_per_q(monkeypatch):
+    # transroot and transfund of one line read one space, one pass and one
+    # chain per q: the roots are the plain fundaments
+    spaces = count_calls(monkeypatch, ["__init__"], owner=autsearch._Space)
+    chains = count_calls(monkeypatch, ["_build_chain"], owner=PermGroup)
+    entries = formats.parse_manifest("global transroot,transfund q=2,3\n", base_dir=str(CORPUS))
+    reports = theorems.run_suite(entries)["reports"]
+    assert (spaces["__init__"], chains["_build_chain"]) == (2, 2)
+    assert [(r.theorem, r.q, r.verdict) for r in reports] == [
+        ("transroot", 2, "pass"), ("transfund", 2, "pass"),
+        ("transroot", 3, "pass"), ("transfund", 3, "pass")]
+    for root, fund in zip(reports[::2], reports[1::2]):
+        assert root.quantities == autsearch.enumerate_roots(root.q) == fund.quantities["plain"]
+
+
 def test_suite_reads_once_from_checks(monkeypatch):
     monkeypatch.setitem(theorems.CHECKS, "transroot", theorems.CHECKS["transroot"]._replace(once=True))
     entries = formats.parse_manifest("global transroot q=2,3\n", base_dir=str(CORPUS))
